@@ -51,6 +51,7 @@ from .marketio import (
 )
 from .model import (
     Market,
+    InternalError,
     MarketError,
     as_rational,
     assigned_project,

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import (
+    InternalError,
     Market,
     Matrix,
     assigned_project,
@@ -260,12 +261,18 @@ def _witness_from_chain(R: Matrix, market, students, projects) -> ImprovementWit
 
 
 def _verify_witness(witness: ImprovementWitness, R: Matrix, prefs, market) -> None:
-    assert witness.delta > 0
-    assert not feasibility_violations(witness.improved, market)
-    assert witness.improved != R
+    """Raise InternalError unless the witness is a feasible improvement of R
+    that every touched student strictly prefers."""
+    if witness.delta <= 0:
+        raise InternalError(f"{witness.kind} witness shifts a nonpositive amount")
+    if feasibility_violations(witness.improved, market) or witness.improved == R:
+        raise InternalError(f"{witness.kind} witness is not a feasible change of R")
     touched = set(witness.students)
     for i, ranking in enumerate(prefs):
-        assert sd_dominates(witness.improved[i], R[i], ranking, strict=i in touched)
+        if not sd_dominates(witness.improved[i], R[i], ranking, strict=i in touched):
+            raise InternalError(
+                f"{witness.kind} witness does not improve student {i + 1}"
+            )
 
 
 def is_ordinally_efficient(R: Matrix, market: Market) -> tuple:

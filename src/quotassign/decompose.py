@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Market, Matrix, column_sums, feasibility_violations
+from .model import InternalError, Market, Matrix, column_sums, feasibility_violations
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,8 @@ def extract_extreme_point(assignment: Matrix, market: Market) -> Matrix:
     net.add_edge(collector, sink, n)
     required = n + sum(floors)
     flowed = net.max_flow(source, sink)
-    assert flowed == required, "no integral point in a nonempty window"
+    if flowed != required:
+        raise InternalError("no integral point in a nonempty window")
     extracted = [[Fraction(0)] * k for _ in range(n)]
     for (i, p), index in share_arcs.items():
         if net.adj[i][index][1] == 0:
@@ -184,7 +185,8 @@ def decompose(assignment: Matrix, market: Market) -> Lottery:
         extracted = extract_extreme_point(current, market)
         step = _step_size(current, extracted)
         if step == 1:
-            assert current == extracted
+            if current != extracted:
+                raise InternalError("full step left a remainder unlike its extreme point")
             terms.append((weight, extracted))
             break
         terms.append((weight * step, extracted))

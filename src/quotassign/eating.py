@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import Market, Matrix, choice, column_sums
+from .model import InternalError, Market, Matrix, choice, column_sums
 
 #: phase-ending event kinds
 EXHAUSTION = "exhaustion"
@@ -228,8 +228,8 @@ def run_pslq_traced(market: Market) -> tuple:
             break
         omega = column_sums(frozen_rows)
         active = _active_set(t_next, omega, market)
-        # the event always closes at least one project
-        assert active < state.active
+        if not active < state.active:
+            raise InternalError(f"eating event at t={t_next} closed no project")
         pattern = tuple(choice(market.prefs, i, active) for i in range(market.n))
         state = EatingState(t=t_next, rows=frozen_rows, active=active, pattern=pattern)
     assignment = tuple(tuple(row) for row in rows)

@@ -157,9 +157,9 @@ def market_to_json(market: Market) -> dict:
             {
                 "name": market.projects[p],
                 "lower": format_rational(market.lower[p]),
-                "upper": format_rational(market.upper[p]),
+                "upper": None if cap is None else format_rational(cap),
             }
-            for p in range(market.k)
+            for p, cap in enumerate(market.declared_upper())
         ],
         "preferences": [
             [market.projects[p] for p in ranking] for ranking in market.prefs

@@ -31,6 +31,10 @@ class MarketError(ValueError):
     """Raised for structurally invalid markets or malformed quota data."""
 
 
+class InternalError(RuntimeError):
+    """Raised when an invariant that guards an output fails; always a bug."""
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" / "p" string to an exact Fraction."""
     if isinstance(value, Fraction):
@@ -67,7 +71,9 @@ class Market:
     upper : sequence of int | Fraction | str | None
         Per-project upper quotas; ``None`` means unbounded and is
         materialized as ``n`` (the number of students is an attainable
-        maximum, and it keeps downstream arithmetic total).
+        maximum, and it keeps downstream arithmetic total). Such projects
+        are flagged in ``uncapped``, so copies of the market with more
+        students stay uncapped (see :meth:`declared_upper`).
     preferences : sequence of rankings
         One ranking per student, best project first; each ranking must
         cover every project exactly once. Entries may be project names
@@ -104,6 +110,7 @@ class Market:
         if len(lower) != self.k or len(upper) != self.k:
             raise MarketError("quota vectors must have one entry per project")
         self.lower: tuple = tuple(as_rational(q) for q in lower)
+        self.uncapped: tuple = tuple(q is None for q in upper)
         self.upper: tuple = tuple(
             Fraction(self.n) if q is None else as_rational(q) for q in upper
         )
@@ -149,6 +156,10 @@ class Market:
         """True iff every lower and upper quota is an integer."""
         return all(q.denominator == 1 for q in self.lower + self.upper)
 
+    def declared_upper(self) -> tuple:
+        """The upper quotas as given: ``None`` for uncapped projects."""
+        return tuple(None if free else q for free, q in zip(self.uncapped, self.upper))
+
     def project_name(self, p: int) -> str:
         return self.projects[p]
 
@@ -159,11 +170,12 @@ class Market:
             self.projects == other.projects
             and self.lower == other.lower
             and self.upper == other.upper
+            and self.uncapped == other.uncapped
             and self.prefs == other.prefs
         )
 
     def __hash__(self):
-        return hash((self.projects, self.lower, self.upper, self.prefs))
+        return hash((self.projects, self.lower, self.upper, self.uncapped, self.prefs))
 
     def __repr__(self):
         return f"Market(n={self.n}, projects={list(self.projects)})"

@@ -6,23 +6,25 @@ exactly as many as the unfilled lower-quota seats, menus shrink to the
 quota-deficient projects so that every lower quota can still be met.
 
 `run_rplq_exact` averages that mechanism over all n! priority orders with
-exact rational weights; `run_rplq_sampled` is the seeded Monte Carlo
-estimator for markets too large to enumerate. `clone_market` extends any
-mechanism to multi-unit demand by cloning students.
+exact rational weights, by a dynamic program over the states the orders
+pass through rather than by running every order; `run_rplq_sampled` is the
+seeded Monte Carlo estimator for larger markets. All three share one
+integer PrioLQ step, `_pick`. `clone_market` extends any mechanism to
+multi-unit demand by cloning students.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .model import Market, Matrix, choice, validate_permutation
+from .model import InternalError, Market, Matrix, validate_permutation
 
-#: largest n for which run_rplq_exact enumerates all n! orders
+#: largest n accepted by run_rplq_exact; the dynamic program visits up to
+#: 2^n sets of placed students, times the seat counts each set can reach
 EXACT_ENUMERATION_LIMIT = 8
 
 
@@ -30,15 +32,62 @@ EXACT_ENUMERATION_LIMIT = 8
 class RplqResult:
     """Outcome of the random-priority lottery.
 
-    `assignment` is the averaged n x k matrix. `mode` is "exact" when all n!
-    orders were enumerated, "monte-carlo" when estimated from `samples` seeded
-    draws.
+    `assignment` is the averaged n x k matrix. `mode` is "exact" when it
+    averages all n! orders, "monte-carlo" when estimated from `samples`
+    seeded draws.
     """
 
     assignment: Matrix
     mode: str
     samples: Optional[int] = None
     seed: Optional[int] = None
+
+
+def _integer_quotas(market: Market) -> tuple:
+    """The quotas as (lower, upper) tuples of ints.
+
+    Only integer quotas are supported: with fractional pinned quotas no
+    deterministic assignment is feasible at all, so the mechanism has no
+    well-defined outcome.
+    """
+    if not market.has_integer_quotas():
+        raise ValueError("priority mechanisms require integer quotas")
+    return tuple(int(q) for q in market.lower), tuple(int(q) for q in market.upper)
+
+
+def _pick(ranking, counts, lower, upper, unfilled: int, remaining: int) -> int:
+    """One PrioLQ step: the project a student with `ranking` takes.
+
+    `unfilled` is the number of lower-quota seats still empty and
+    `remaining` the number of students still to place, this one included.
+    While unfilled < remaining the menu is every project below its upper
+    quota; once they are equal every remaining seat is needed for a lower
+    quota, and the menu shrinks to the projects below their lower quota.
+    """
+    if unfilled > remaining:
+        raise InternalError(
+            f"partial assignment infeasible: {unfilled} lower-quota seats"
+            f" left for {remaining} students"
+        )
+    caps = upper if unfilled < remaining else lower
+    for p in ranking:
+        if counts[p] < caps[p]:
+            return p
+    raise InternalError("empty PrioLQ menu")
+
+
+def _priolq_picks(prefs, lower, upper, order):
+    """Yield (student, project) for each student of `order` in turn."""
+    counts = [0] * len(lower)
+    unfilled = sum(lower)
+    remaining = len(order)
+    for student in order:
+        p = _pick(prefs[student], counts, lower, upper, unfilled, remaining)
+        if counts[p] < lower[p]:
+            unfilled -= 1
+        counts[p] += 1
+        remaining -= 1
+        yield student, p
 
 
 def run_priolq(market: Market, order: Sequence[int]) -> Matrix:
@@ -51,54 +100,56 @@ def run_priolq(market: Market, order: Sequence[int]) -> Matrix:
     for a lower quota and the menu is restricted to the quota-deficient
     projects.
 
-    Returns a deterministic 0/1 assignment matrix, always feasible.
-
-    Only integer quotas are supported: with fractional pinned quotas no
-    deterministic assignment is feasible at all, so the mechanism has no
-    well-defined outcome.
+    Returns a deterministic 0/1 assignment matrix, always feasible. Raises
+    ValueError unless every quota is an integer.
     """
-    if not market.has_integer_quotas():
-        raise ValueError("priority mechanisms require integer quotas")
+    lower, upper = _integer_quotas(market)
     order = validate_permutation(order, market.n)
-    counts = [0] * market.k
     rows = [[0] * market.k for _ in range(market.n)]
-    for step, student in enumerate(order):
-        remaining = market.n - step
-        deficient = [p for p in range(market.k) if counts[p] < market.lower[p]]
-        unfilled = sum(market.lower[p] - counts[p] for p in deficient)
-        # feasibility of the partial assignment; a failure here is a bug
-        assert unfilled <= remaining
-        if unfilled < remaining:
-            menu = [p for p in range(market.k) if counts[p] < market.upper[p]]
-        else:
-            menu = deficient
-        best = choice(market.prefs, student, menu)
-        rows[student][best] = 1
-        counts[best] += 1
+    for student, p in _priolq_picks(market.prefs, lower, upper, order):
+        rows[student][p] = 1
     return tuple(tuple(row) for row in rows)
 
 
 def run_rplq_exact(market: Market, limit: int = EXACT_ENUMERATION_LIMIT) -> RplqResult:
     """Average run_priolq over all n! priority orders, exactly.
 
-    Every entry of the result is a Fraction with denominator dividing n!.
-    Markets with n > `limit` are rejected; use run_rplq_sampled for those.
+    A forward dynamic program over the states the orders pass through: a
+    state is the set of students placed so far together with the seats
+    filled per project, and it carries the number of orders of those
+    students that reach it. From each state every unplaced student takes
+    their PrioLQ pick, which the state alone decides; that pick is theirs
+    in every completion of those orders, (students left - 1)! of them.
+
+    Every entry of the result is a Fraction with denominator dividing n!,
+    equal to the plain average over the n! orders. Markets with n >
+    `limit` are rejected; use run_rplq_sampled for those.
     """
     if market.n > limit:
         raise ValueError(
             f"n={market.n} exceeds the exact-enumeration limit {limit};"
             " use run_rplq_sampled instead"
         )
-    totals = [[0] * market.k for _ in range(market.n)]
-    for order in itertools.permutations(range(market.n)):
-        outcome = run_priolq(market, order)
-        for i in range(market.n):
-            for j in range(market.k):
-                totals[i][j] += outcome[i][j]
-    weight = Fraction(1, math.factorial(market.n))
-    assignment = tuple(
-        tuple(weight * totals[i][j] for j in range(market.k)) for i in range(market.n)
-    )
+    lower, upper = _integer_quotas(market)
+    n, prefs = market.n, market.prefs
+    totals = [[0] * market.k for _ in range(n)]
+    layer = {(0, (0,) * market.k): 1}
+    for placed in range(n):
+        remaining = n - placed
+        completions = math.factorial(remaining - 1)
+        following = {}
+        for (mask, counts), ways in layer.items():
+            unfilled = sum(max(lo - c, 0) for lo, c in zip(lower, counts))
+            for i in range(n):
+                if mask >> i & 1:
+                    continue
+                p = _pick(prefs[i], counts, lower, upper, unfilled, remaining)
+                totals[i][p] += ways * completions
+                state = (mask | 1 << i, counts[:p] + (counts[p] + 1,) + counts[p + 1 :])
+                following[state] = following.get(state, 0) + ways
+        layer = following
+    weight = Fraction(1, math.factorial(n))
+    assignment = tuple(tuple(weight * t for t in row) for row in totals)
     return RplqResult(assignment=assignment, mode="exact")
 
 
@@ -112,18 +163,16 @@ def run_rplq_sampled(market: Market, samples: int, seed: int) -> RplqResult:
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    lower, upper = _integer_quotas(market)
     rng = random.Random(seed)
     totals = [[0] * market.k for _ in range(market.n)]
     order = list(range(market.n))
     for _ in range(samples):
         rng.shuffle(order)
-        outcome = run_priolq(market, order)
-        for i in range(market.n):
-            for j in range(market.k):
-                totals[i][j] += outcome[i][j]
+        for student, p in _priolq_picks(market.prefs, lower, upper, order):
+            totals[student][p] += 1
     assignment = tuple(
-        tuple(Fraction(totals[i][j], samples) for j in range(market.k))
-        for i in range(market.n)
+        tuple(Fraction(t, samples) for t in row) for row in totals
     )
     return RplqResult(assignment=assignment, mode="monte-carlo", samples=samples, seed=seed)
 
@@ -132,7 +181,8 @@ def clone_market(market: Market, q: int) -> tuple:
     """Clone every student q times, for multi-unit assignment.
 
     Clone j of student i sits at row i*q + j of the cloned market and
-    inherits the student's ranking. Requires sum(l) <= q*n <= sum(u) so the
+    inherits the student's ranking. Uncapped projects stay uncapped, so
+    they can take all q*n clones. Requires sum(l) <= q*n <= sum(u) so the
     cloned market is feasible.
 
     Returns (cloned_market, aggregate) where aggregate maps any matrix over
@@ -141,14 +191,17 @@ def clone_market(market: Market, q: int) -> tuple:
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    if not sum(market.lower) <= q * market.n <= sum(market.upper):
+    caps = market.declared_upper()
+    if not sum(market.lower) <= q * market.n or (
+        None not in caps and q * market.n > sum(caps)
+    ):
         raise ValueError(
             f"quotas cannot host q*n = {q * market.n} unit demands"
         )
     prefs = []
     for ranking in market.prefs:
         prefs.extend([ranking] * q)
-    cloned = Market(market.projects, market.lower, market.upper, prefs)
+    cloned = Market(market.projects, market.lower, caps, prefs)
 
     def aggregate(mat: Matrix) -> Matrix:
         if len(mat) != q * market.n:

@@ -67,7 +67,7 @@ def _misreported_market(market: Market, student: int, ranking) -> Market:
     prefs = [list(r) for r in market.prefs]
     prefs[student] = list(ranking)
     return Market(
-        list(market.projects), list(market.lower), list(market.upper), prefs
+        list(market.projects), list(market.lower), list(market.declared_upper()), prefs
     )
 
 
@@ -87,21 +87,23 @@ def misreport_outcomes(mechanism, market: Market, student: int):
         yield ranking, outcome[student]
 
 
-def search_manipulation(mechanism, market: Market, student: int) -> ManipulationReport:
-    """Run the mechanism truthfully and once per misreport of `student`.
+def _scan(mechanism, market: Market, student: int, strong: bool) -> ManipulationReport:
+    """One pass over the misreports of `student`.
 
-    Reports the first strict sd-gain found (in lexicographic ranking
-    order), else the first misreport that changes the student's row, else
-    relation "none".
+    Returns the first strict sd-gain at once. Otherwise reports the first
+    misreport row that counts as a change: with strong=False any row that
+    differs from the truthful one, with strong=True any row the truthful
+    row does not weakly sd-dominate.
     """
-    mechanism = _resolve(mechanism)
     truthful_row = mechanism(market)[student]
     ranking = market.prefs[student]
     first_change = None
     for misreport, row in misreport_outcomes(mechanism, market, student):
         if sd_dominates(row, truthful_row, ranking, strict=True):
             return ManipulationReport(student, truthful_row, misreport, row, STRICT_GAIN)
-        if first_change is None and row != truthful_row:
+        if first_change is None and (
+            not sd_dominates(truthful_row, row, ranking) if strong else row != truthful_row
+        ):
             first_change = (misreport, row)
     if first_change is not None:
         return ManipulationReport(
@@ -110,26 +112,30 @@ def search_manipulation(mechanism, market: Market, student: int) -> Manipulation
     return ManipulationReport(student, truthful_row, None, None, NO_CHANGE)
 
 
+def search_manipulation(mechanism, market: Market, student: int) -> ManipulationReport:
+    """Run the mechanism truthfully and once per misreport of `student`.
+
+    Reports the first strict sd-gain found (in lexicographic ranking
+    order), else the first misreport that changes the student's row, else
+    relation "none".
+    """
+    return _scan(_resolve(mechanism), market, student, strong=False)
+
+
 def verify_weak_sp(mechanism, market: Market, strong: bool = False):
     """No student can strictly sd-gain by misreporting; (True, None) or
     (False, ManipulationReport).
 
     With strong=True additionally demand that the truthful row weakly
     sd-dominates every misreport row, the standard given for the priority
-    mechanisms.
+    mechanisms; a failure then reports the first misreport row it does not
+    dominate. Each student's misreports are run once either way.
     """
     mechanism = _resolve(mechanism)
     for student in range(market.n):
-        report = search_manipulation(mechanism, market, student)
-        if report.relation == STRICT_GAIN:
+        report = _scan(mechanism, market, student, strong)
+        if report.relation == STRICT_GAIN or (strong and report.relation == INCOMPARABLE_CHANGE):
             return False, report
-        if strong and report.relation == INCOMPARABLE_CHANGE:
-            ranking = market.prefs[student]
-            for misreport, row in misreport_outcomes(mechanism, market, student):
-                if not sd_dominates(report.truthful_row, row, ranking):
-                    return False, ManipulationReport(
-                        student, report.truthful_row, misreport, row, INCOMPARABLE_CHANGE
-                    )
     return True, None
 
 

@@ -5,6 +5,8 @@ internals beyond the Market container, so that agreement is evidence rather
 than tautology.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from quotassign.model import Market, choice, column_sums
@@ -33,6 +35,43 @@ def classical_ps(market: Market):
             rows[i][eating[i]] += dt
         t += dt
     return tuple(tuple(row) for row in rows)
+
+
+def priolq_from_definition(market: Market, order):
+    """Serial priority with the lower-quota menu rule, in Fractions.
+
+    Before each pick, recount the seats every lower quota still needs; if
+    they are as many as the students left, the menu is the projects below
+    their lower quota, otherwise every project below its upper quota.
+    Returns the 0/1 assignment matrix.
+    """
+    n, k = market.n, market.k
+    seats = [Fraction(0)] * k
+    rows = [[0] * k for _ in range(n)]
+    for step, student in enumerate(order):
+        needed = sum(max(market.lower[p] - seats[p], 0) for p in range(k))
+        if needed < n - step:
+            menu = {p for p in range(k) if seats[p] < market.upper[p]}
+        else:
+            menu = {p for p in range(k) if seats[p] < market.lower[p]}
+        pick = choice(market.prefs, student, menu)
+        seats[pick] += 1
+        rows[student][pick] = 1
+    return tuple(tuple(row) for row in rows)
+
+
+def rplq_by_enumeration(market: Market):
+    """Random priority by brute force: the average of
+    priolq_from_definition over all n! priority orders."""
+    n, k = market.n, market.k
+    totals = [[0] * k for _ in range(n)]
+    for order in itertools.permutations(range(n)):
+        outcome = priolq_from_definition(market, order)
+        for i in range(n):
+            for p in range(k):
+                totals[i][p] += outcome[i][p]
+    weight = Fraction(1, math.factorial(n))
+    return tuple(tuple(weight * t for t in row) for row in totals)
 
 
 def discrete_eating(market: Market, steps: int = 1000):
@@ -102,8 +141,6 @@ def exists_dominating(R, market: Market, denominator: int):
     entries and quota slacks, so an improving matrix exists at this
     resolution iff one exists at all. Returns the first dominator or None.
     """
-    import itertools
-
     from quotassign.axioms import sd_dominates
 
     n, k = market.n, market.k

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from quotassign.axioms import (
     TAU_CYCLE,
     WASTEFUL_CHAIN,
+    _verify_witness,
     find_tau_cycle,
     find_wasteful_chain,
     is_envy_free,
@@ -18,7 +20,7 @@ from quotassign.axioms import (
     tau_graph,
 )
 from quotassign.eating import run_pslq
-from quotassign.model import Market, is_feasible
+from quotassign.model import InternalError, Market, is_feasible
 from quotassign.priority import run_priolq
 
 from conftest import random_market
@@ -318,3 +320,18 @@ def test_mqc_guard():
     mu = tuple((1, 0, 0, 0) for _ in range(12))
     with pytest.raises(ValueError, match="guard"):
         is_mqc_efficient(mu, m)
+
+
+def test_bogus_witness_is_rejected_under_any_optimization_level():
+    # the real witness for the chain matrix, then three ways to spoil it
+    m = market_chain()
+    _, witness = is_ordinally_efficient(CHAIN_MATRIX, m)
+    _verify_witness(witness, CHAIN_MATRIX, m.prefs, m)
+    bogus = [
+        dataclasses.replace(witness, delta=Fraction(0)),
+        dataclasses.replace(witness, improved=CHAIN_MATRIX),
+        dataclasses.replace(witness, improved=mat("0 1 0", "1 0 0")),
+    ]
+    for spoiled in bogus:
+        with pytest.raises(InternalError, match="witness"):
+            _verify_witness(spoiled, CHAIN_MATRIX, m.prefs, m)

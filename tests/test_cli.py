@@ -13,7 +13,7 @@ from quotassign.marketio import (
     serialize_assignment,
     serialize_market,
 )
-from quotassign.model import as_rational
+from quotassign.model import Market, as_rational
 from quotassign.priority import run_priolq, run_rplq_sampled
 
 from goldens import (
@@ -447,3 +447,35 @@ def test_run_output_file(tmp_path, capsys):
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+UNCAPPED_TWO = Market(["a", "b"], [0, 0], [None, None], [["a", "b"], ["b", "a"]])
+UNCAPPED_THREE = Market(
+    ["a", "b", "c"],
+    [0, 0, 0],
+    [None, None, None],
+    [["a", "b", "c"], ["a", "c", "b"], ["a", "b", "c"]],
+)
+
+
+@pytest.mark.parametrize("mechanism", ["pslq", "rplq"])
+def test_multiunit_uncapped_projects_host_every_clone(tmp_path, capsys, mechanism):
+    # uncapped means no cap: 2 students x 3 units fit on 2 uncapped projects
+    code, doc = run_json(
+        capsys,
+        ["run", "multiunit", "--q", "3", "--mechanism", mechanism,
+         "--input", market_file(tmp_path, UNCAPPED_TWO)],
+    )
+    assert code == 0
+    assert doc["assignment"] == [["3", "0"], ["0", "3"]]
+
+
+@pytest.mark.parametrize("mechanism", ["pslq", "rplq"])
+def test_multiunit_uncapped_first_choice_takes_all_units(tmp_path, capsys, mechanism):
+    code, doc = run_json(
+        capsys,
+        ["run", "multiunit", "--q", "2", "--mechanism", mechanism,
+         "--input", market_file(tmp_path, UNCAPPED_THREE)],
+    )
+    assert code == 0
+    assert doc["assignment"] == [["2", "0", "0"]] * 3

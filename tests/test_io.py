@@ -9,6 +9,7 @@ from quotassign.marketio import (
     GeneratorConfig,
     decimal_string,
     generate_market,
+    market_to_json,
     parse_assignment,
     parse_lottery,
     parse_market,
@@ -19,7 +20,7 @@ from quotassign.marketio import (
     serialize_market,
     serialize_trace,
 )
-from quotassign.model import MarketError
+from quotassign.model import Market, MarketError
 
 from goldens import (
     PSLQ_FIVE,
@@ -234,3 +235,10 @@ def test_generator_rejects_bad_configs():
         generate_market(
             GeneratorConfig(n=2, k=2, pref_style="correlated", weights=(0, 1))
         )
+
+
+def test_uncapped_projects_serialize_as_null():
+    market = Market(["a", "b"], [0, 1], [None, 2], [["a", "b"], ["b", "a"]])
+    doc = market_to_json(market)
+    assert [entry["upper"] for entry in doc["projects"]] == [None, "2"]
+    assert parse_market(serialize_market(market)) == market

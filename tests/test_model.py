@@ -138,3 +138,12 @@ def test_validate_permutation():
     assert validate_permutation([2, 0, 1], 3) == (2, 0, 1)
     with pytest.raises(ValueError):
         validate_permutation([0, 0, 1], 3)
+
+
+def test_uncapped_projects_are_flagged():
+    m = Market(["a", "b"], [0, 1], [None, 2], [["a", "b"], ["b", "a"]])
+    assert m.uncapped == (True, False)
+    assert m.upper == (2, 2)
+    assert m.declared_upper() == (None, 2)
+    # same numbers, but a cap of 2 on a is a different market from no cap
+    assert m != Market(["a", "b"], [0, 1], [2, 2], [["a", "b"], ["b", "a"]])

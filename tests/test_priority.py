@@ -165,3 +165,14 @@ def test_clone_infeasible_q():
     m = Market(["a", "b"], [0, 0], [1, 1], [["a", "b"], ["b", "a"]])
     with pytest.raises(ValueError, match="unit demands"):
         clone_market(m, 2)
+
+
+def test_clone_keeps_projects_uncapped():
+    m = Market(["a", "b", "c"], [0, 1, 0], [None, 2, None], [["a", "b", "c"]] * 3)
+    cloned, aggregate = clone_market(m, 2)
+    assert cloned.uncapped == (True, False, True)
+    assert cloned.upper == (6, 2, 6)
+    # every clone that can have a takes it; the lower quota of b takes one
+    assert aggregate(run_rplq_exact(cloned).assignment) == (
+        (Fraction(5, 3), Fraction(1, 3), 0),
+    ) * 3

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from quotassign.axioms import sd_dominates
 from quotassign.eating import run_pslq
 from quotassign.model import Market, assigned_project
-from quotassign.priority import run_priolq
+from quotassign.priority import run_priolq, run_rplq_exact
 from quotassign.strategy import (
     INCOMPARABLE_CHANGE,
     NO_CHANGE,
@@ -162,3 +163,36 @@ def test_impossibility_family_matches_eating_output():
     t0 = report.family_parameters[0]
     assert t0 == 0
     assert run_pslq(report.market) == mat("2/3 0 1/3", "0 2/3 1/3")
+
+
+def test_strong_verification_runs_each_misreport_once():
+    m = market_lower_quotas()
+    calls = []
+
+    def counting(market):
+        calls.append(market)
+        return run_rplq_exact(market).assignment
+
+    assert verify_weak_sp(counting, m, strong=True) == (True, None)
+    # per student: the truthful run plus k! - 1 misreports
+    assert len(calls) == m.n * (math.factorial(m.k) - 1) + m.n
+
+
+def test_strong_verification_reports_first_undominated_row():
+    # the same report as a full scan that takes the first misreport row the
+    # truthful row fails to weakly dominate
+    m = market_lower_quotas()
+    ok, witness = verify_weak_sp("pslq", m, strong=True)
+    assert not ok
+    student = witness.student
+    ranking = m.prefs[student]
+    for misreport, row in misreport_outcomes("pslq", m, student):
+        if not sd_dominates(witness.truthful_row, row, ranking):
+            assert (misreport, row) == (witness.misreport, witness.misreport_row)
+            break
+    for earlier in range(student):
+        report = search_manipulation("pslq", m, earlier)
+        assert all(
+            sd_dominates(report.truthful_row, row, m.prefs[earlier])
+            for _, row in misreport_outcomes("pslq", m, earlier)
+        )
