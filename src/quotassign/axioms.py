@@ -38,8 +38,16 @@ def sd_dominates(x: Sequence, y: Sequence, pref: Sequence[int], strict: bool = F
 
     Weak mode: every prefix sum of x in preference order is >= that of y.
     Strict mode additionally requires x != y.
+
+    Raises
+    ------
+    ValueError
+        If x, y and pref differ in length.
     """
-    assert len(x) == len(y) == len(pref)
+    if not len(x) == len(y) == len(pref):
+        raise ValueError(
+            f"rows of length {len(x)} and {len(y)} under a ranking of {len(pref)} projects"
+        )
     total_x = Fraction(0)
     total_y = Fraction(0)
     for p in pref:

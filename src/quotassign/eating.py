@@ -22,6 +22,19 @@ active set is recomputed directly from the definition above, which also
 resolves simultaneous exhaust-and-shift events (the reserve clause fails,
 so exactly the quota-deficient projects survive).
 
+The run keeps no n x k matrix while it eats. Every event depends only on
+the k eaten masses omega_p and on how many students eat each project, so
+the state is the vector omega, advanced by (eaters of p) * (phase length)
+per phase, plus, per student, the project being eaten and the time they
+started on it. The active set only shrinks, so a student moves only when
+their project closes, and each student's pointer into their ranking only
+moves forward. A phase therefore works on the k projects and on the
+students who move, not on the n x k matrix (the trace still copies the
+n-entry eating pattern once per phase). A closed project never reopens, so
+each student eats each project in one interval, and the entry of the
+assignment is that interval's length: the phase lengths telescope to the
+same exact Fraction.
+
 All arithmetic is exact; event times, consumption, and the emitted trace
 are Fractions.
 """
@@ -124,7 +137,8 @@ def _critical_event(
             for p in range(market.k)
             if residuals[p] - counts[p] * start > 0
         )
-        assert g >= 0 and slope <= 0
+        if g < 0 or slope > 0:
+            raise InternalError(f"eating reserve at t={t + start} is {g} with slope {slope}")
         if g == 0:
             if slope < 0:
                 return t + start
@@ -137,27 +151,22 @@ def _critical_event(
     return None
 
 
-def next_event(state: EatingState, market: Market) -> tuple:
-    """When and how the current phase ends.
+def _end_phase(
+    t: Fraction, omega: list, counts: Sequence[int], active: frozenset, market: Market
+) -> tuple:
+    """When and how the phase starting at t ends, given the eaten masses
+    omega and the number of students eating each project.
 
-    Returns (t_next, kind, closing): the exact event time, its kind
-    (EXHAUSTION, CRITICAL_SHIFT, or EPOCH_END when the run simply reaches
-    t = 1), and the frozenset of projects leaving the active set. At an
-    exhaustion time equal to the critical time, the critical shift takes
-    precedence; its closing rule removes exhausted projects as well.
+    Returns (t_next, kind, closing) as next_event does, and advances omega
+    in place to t_next.
     """
-    omega = column_sums(state.rows)
-    counts = [0] * market.k
-    for p in state.pattern:
-        counts[p] += 1
-
     exhaust_t = None
-    for p in state.active:
+    for p in active:
         if counts[p] > 0:
-            hit = state.t + (market.upper[p] - omega[p]) / counts[p]
+            hit = t + (market.upper[p] - omega[p]) / counts[p]
             if hit <= 1 and (exhaust_t is None or hit < exhaust_t):
                 exhaust_t = hit
-    critical_t = _critical_event(state.t, omega, counts, market)
+    critical_t = _critical_event(t, omega, counts, market)
 
     if critical_t is not None and (exhaust_t is None or critical_t <= exhaust_t):
         t_next = critical_t
@@ -169,21 +178,32 @@ def next_event(state: EatingState, market: Market) -> tuple:
         t_next = Fraction(1)
         kind = EPOCH_END
 
-    duration = t_next - state.t
-    omega_next = list(omega)
-    for p in state.pattern:
-        omega_next[p] += duration
+    duration = t_next - t
+    for p, count in enumerate(counts):
+        if count:
+            omega[p] += count * duration
     if kind == CRITICAL_SHIFT:
-        closing = frozenset(
-            p for p in state.active if omega_next[p] >= market.lower[p]
-        )
+        closing = frozenset(p for p in active if omega[p] >= market.lower[p])
     elif kind == EXHAUSTION:
-        closing = frozenset(
-            p for p in state.active if omega_next[p] == market.upper[p]
-        )
+        closing = frozenset(p for p in active if omega[p] == market.upper[p])
     else:
-        closing = frozenset(state.active)
+        closing = frozenset(active)
     return t_next, kind, closing
+
+
+def next_event(state: EatingState, market: Market) -> tuple:
+    """When and how the current phase ends.
+
+    Returns (t_next, kind, closing): the exact event time, its kind
+    (EXHAUSTION, CRITICAL_SHIFT, or EPOCH_END when the run simply reaches
+    t = 1), and the frozenset of projects leaving the active set. At an
+    exhaustion time equal to the critical time, the critical shift takes
+    precedence; its closing rule removes exhausted projects as well.
+    """
+    counts = [0] * market.k
+    for p in state.pattern:
+        counts[p] += 1
+    return _end_phase(state.t, list(column_sums(state.rows)), counts, state.active, market)
 
 
 def initial_state(market: Market) -> EatingState:
@@ -201,37 +221,58 @@ def run_pslq_traced(market: Market) -> tuple:
     eating pattern, the event ending the phase, and the projects closing;
     replaying its linear segments reproduces the assignment exactly.
     """
-    state = initial_state(market)
-    rows = [list(row) for row in state.rows]
+    n, k, prefs = market.n, market.k, market.prefs
+    zero = Fraction(0)
+    t = zero
+    omega = [zero] * k
+    active = _active_set(t, omega, market)
+    # student i eats prefs[i][position[i]] (= eating[i]) since start[i]
+    position = [0] * n
+    eating = [0] * n
+    start = [zero] * n
+    eaters = [[] for _ in range(k)]
+    rows = [[zero] * k for _ in range(n)]
+    movers = range(n)
     phases = []
     critical_time = None
-    while state.t < 1:
-        t_next, kind, closing = next_event(state, market)
-        duration = t_next - state.t
-        for i, p in enumerate(state.pattern):
-            rows[i][p] += duration
+    while t < 1:
+        for i in movers:
+            ranking = prefs[i]
+            j = position[i]
+            while ranking[j] not in active:
+                j += 1
+            position[i] = j
+            eating[i] = ranking[j]
+            eaters[ranking[j]].append(i)
+        t_next, kind, closing = _end_phase(t, omega, [len(e) for e in eaters], active, market)
         phases.append(
             EatingPhase(
-                start=state.t,
+                start=t,
                 end=t_next,
-                active=tuple(sorted(state.active)),
-                pattern=state.pattern,
+                active=tuple(sorted(active)),
+                pattern=tuple(eating),
                 event=kind,
                 closed=tuple(sorted(closing)),
             )
         )
         if kind == CRITICAL_SHIFT and critical_time is None:
             critical_time = t_next
-        frozen_rows = tuple(tuple(row) for row in rows)
         if t_next == 1:
-            state = EatingState(t_next, frozen_rows, frozenset(), ())
-            break
-        omega = column_sums(frozen_rows)
-        active = _active_set(t_next, omega, market)
-        if not active < state.active:
-            raise InternalError(f"eating event at t={t_next} closed no project")
-        pattern = tuple(choice(market.prefs, i, active) for i in range(market.n))
-        state = EatingState(t=t_next, rows=frozen_rows, active=active, pattern=pattern)
+            still_active = frozenset()
+        else:
+            still_active = _active_set(t_next, omega, market)
+            if not still_active < active:
+                raise InternalError(f"eating event at t={t_next} closed no project")
+        # only the eaters of closed projects record their entry and move on
+        movers = []
+        for p in active - still_active:
+            for i in eaters[p]:
+                rows[i][p] = t_next - start[i]
+                start[i] = t_next
+            movers += eaters[p]
+            eaters[p] = []
+        active = still_active
+        t = t_next
     assignment = tuple(tuple(row) for row in rows)
     return assignment, EatingTrace(phases=tuple(phases), critical_time=critical_time)
 

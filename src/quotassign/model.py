@@ -205,9 +205,15 @@ def matrix(rows: Iterable[Iterable[RationalLike]]) -> Matrix:
 
 
 def column_sums(mat: Matrix) -> tuple:
+    """The column sums of a matrix, as Fractions; zero entries are skipped."""
     if not mat:
         return ()
-    return tuple(sum(row[j] for row in mat) for j in range(len(mat[0])))
+    sums = [Fraction(0)] * len(mat[0])
+    for row in mat:
+        for j, x in enumerate(row):
+            if x:
+                sums[j] += x
+    return tuple(sums)
 
 
 def is_integral(mat: Matrix) -> bool:
@@ -241,19 +247,24 @@ def feasibility_violations(mat: Matrix, market: Market) -> list:
             f"matrix dimensions do not match market (want {market.n}x{market.k})"
         )
     violations = []
+    # one pass: row totals and column sums together, zero entries skipped
+    columns = [Fraction(0)] * market.k
     for i, row in enumerate(mat):
+        total = 0
         for j, x in enumerate(row):
-            if x < 0 or x > 1:
-                violations.append(
-                    f"entry for student {i + 1}, project {market.projects[j]}"
-                    f" is {format_rational(as_rational(x))}, outside [0, 1]"
-                )
-        total = sum(row)
+            if x:
+                if x < 0 or x > 1:
+                    violations.append(
+                        f"entry for student {i + 1}, project {market.projects[j]}"
+                        f" is {format_rational(as_rational(x))}, outside [0, 1]"
+                    )
+                total += x
+                columns[j] += x
         if total != 1:
             violations.append(
                 f"row of student {i + 1} sums to {format_rational(as_rational(total))}, not 1"
             )
-    for j, total in enumerate(column_sums(mat)):
+    for j, total in enumerate(columns):
         name = market.projects[j]
         if total < market.lower[j]:
             violations.append(

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .axioms import is_envy_free, is_ordinally_efficient, sd_dominates
 from .eating import run_pslq
-from .model import Market, Matrix, Row, format_rational
+from .model import InternalError, Market, Matrix, Row, format_rational
 from .priority import run_rplq_exact
 
 STRICT_GAIN = "strict-sd-gain"
@@ -87,15 +87,18 @@ def misreport_outcomes(mechanism, market: Market, student: int):
         yield ranking, outcome[student]
 
 
-def _scan(mechanism, market: Market, student: int, strong: bool) -> ManipulationReport:
-    """One pass over the misreports of `student`.
+def _scan(
+    mechanism, market: Market, truthful: Matrix, student: int, strong: bool
+) -> ManipulationReport:
+    """One pass over the misreports of `student`, given the truthful
+    outcome of the market.
 
     Returns the first strict sd-gain at once. Otherwise reports the first
     misreport row that counts as a change: with strong=False any row that
     differs from the truthful one, with strong=True any row the truthful
     row does not weakly sd-dominate.
     """
-    truthful_row = mechanism(market)[student]
+    truthful_row = truthful[student]
     ranking = market.prefs[student]
     first_change = None
     for misreport, row in misreport_outcomes(mechanism, market, student):
@@ -119,7 +122,8 @@ def search_manipulation(mechanism, market: Market, student: int) -> Manipulation
     order), else the first misreport that changes the student's row, else
     relation "none".
     """
-    return _scan(_resolve(mechanism), market, student, strong=False)
+    mechanism = _resolve(mechanism)
+    return _scan(mechanism, market, mechanism(market), student, strong=False)
 
 
 def verify_weak_sp(mechanism, market: Market, strong: bool = False):
@@ -129,11 +133,13 @@ def verify_weak_sp(mechanism, market: Market, strong: bool = False):
     With strong=True additionally demand that the truthful row weakly
     sd-dominates every misreport row, the standard given for the priority
     mechanisms; a failure then reports the first misreport row it does not
-    dominate. Each student's misreports are run once either way.
+    dominate. The truthful market and each student's misreports are run
+    once either way.
     """
     mechanism = _resolve(mechanism)
+    truthful = mechanism(market)
     for student in range(market.n):
-        report = _scan(mechanism, market, student, strong)
+        report = _scan(mechanism, market, truthful, student, strong)
         if report.relation == STRICT_GAIN or (strong and report.relation == INCOMPARABLE_CHANGE):
             return False, report
     return True, None
@@ -256,29 +262,36 @@ def impossibility_scenario() -> ImpossibilityReport:
     truthful = _scenario_market([["a", "b", "c"], ["b", "c", "a"]])
     family = _fair_efficient_grid(truthful)
     parameters = tuple(candidate[0][1] for candidate in family)
-    assert all(candidate == _family_matrix(t) for candidate, t in zip(family, parameters))
-    assert parameters[0] == 0 and parameters[-1] == Fraction(1, 3)
+    if not all(candidate == _family_matrix(t) for candidate, t in zip(family, parameters)):
+        raise InternalError("the fair and efficient grid points leave the family")
+    if not (parameters[0] == 0 and parameters[-1] == Fraction(1, 3)):
+        raise InternalError("the family's parameters do not span [0, 1/3]")
 
     first_misreport = (1, 0, 2)  # b > a > c
     after_first = _fair_efficient_grid(
         _scenario_market([["b", "a", "c"], ["b", "c", "a"]])
     )
-    assert len(after_first) == 1
+    if len(after_first) != 1:
+        raise InternalError("the first misreport leaves no unique fair and efficient assignment")
     unique_after_first = after_first[0]
 
     second_misreport = (1, 0, 2)  # b > a > c
     after_second = _fair_efficient_grid(
         _scenario_market([["a", "b", "c"], ["b", "a", "c"]])
     )
-    assert len(after_second) == 1
+    if len(after_second) != 1:
+        raise InternalError("the second misreport leaves no unique fair and efficient assignment")
     unique_after_second = after_second[0]
 
     # weak strategy-proofness leaves only the parameters whose truthful row
     # is not strictly dominated by the misreport outcome
     prefs_1, prefs_2 = truthful.prefs
     for t in parameters:
-        assert sd_dominates(unique_after_first[0], _family_matrix(t)[0], prefs_1)
-        assert sd_dominates(unique_after_second[1], _family_matrix(t)[1], prefs_2)
+        if not (
+            sd_dominates(unique_after_first[0], _family_matrix(t)[0], prefs_1)
+            and sd_dominates(unique_after_second[1], _family_matrix(t)[1], prefs_2)
+        ):
+            raise InternalError(f"a misreport outcome does not dominate the family at t={t}")
     allowed_by_first = [
         t
         for t in parameters
@@ -289,7 +302,8 @@ def impossibility_scenario() -> ImpossibilityReport:
         for t in parameters
         if not sd_dominates(unique_after_second[1], _family_matrix(t)[1], prefs_2, strict=True)
     ]
-    assert len(allowed_by_first) == 1 and len(allowed_by_second) == 1
+    if len(allowed_by_first) != 1 or len(allowed_by_second) != 1:
+        raise InternalError("weak strategy-proofness does not pin down one parameter per misreport")
 
     return ImpossibilityReport(
         market=truthful,

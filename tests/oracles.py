@@ -2,14 +2,25 @@
 
 Deliberately written from the definitions, sharing no code with the package
 internals beyond the Market container, so that agreement is evidence rather
-than tautology.
+than tautology. The one exception is `pslq_by_full_matrix`, the earlier
+full-matrix eating loop, which reuses the package's phase-event rule (see
+its docstring).
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from quotassign.model import Market, choice, column_sums
+from quotassign.eating import (
+    CRITICAL_SHIFT,
+    EatingPhase,
+    EatingState,
+    EatingTrace,
+    active_projects,
+    initial_state,
+    next_event,
+)
+from quotassign.model import InternalError, Market, choice
 
 
 def classical_ps(market: Market):
@@ -72,6 +83,51 @@ def rplq_by_enumeration(market: Market):
                 totals[i][p] += outcome[i][p]
     weight = Fraction(1, math.factorial(n))
     return tuple(tuple(weight * t for t in row) for row in totals)
+
+
+def pslq_by_full_matrix(market: Market):
+    """PSLQ with the whole n x k consumption matrix as its state.
+
+    Every phase sums the matrix's columns for the event (`next_event`),
+    adds the phase to every row, recomputes the active set from the matrix
+    and lets every student choose again. It shares the phase-event rule
+    with the package on purpose: agreement with `run_pslq_traced` checks
+    the k-vector bookkeeping (eaten masses, per-student start times, only
+    the eaters of closed projects moving). The rule itself is checked
+    against `discrete_eating` and `classical_ps`. Returns
+    (assignment, trace).
+    """
+    state = initial_state(market)
+    rows = [list(row) for row in state.rows]
+    phases = []
+    critical_time = None
+    while state.t < 1:
+        t_next, kind, closing = next_event(state, market)
+        duration = t_next - state.t
+        for i, p in enumerate(state.pattern):
+            rows[i][p] += duration
+        phases.append(
+            EatingPhase(
+                start=state.t,
+                end=t_next,
+                active=tuple(sorted(state.active)),
+                pattern=state.pattern,
+                event=kind,
+                closed=tuple(sorted(closing)),
+            )
+        )
+        if kind == CRITICAL_SHIFT and critical_time is None:
+            critical_time = t_next
+        if t_next == 1:
+            break
+        frozen_rows = tuple(tuple(row) for row in rows)
+        active = active_projects(EatingState(t_next, frozen_rows, frozenset(), ()), market)
+        if not active < state.active:
+            raise InternalError(f"eating event at t={t_next} closed no project")
+        pattern = tuple(choice(market.prefs, i, active) for i in range(market.n))
+        state = EatingState(t=t_next, rows=frozen_rows, active=active, pattern=pattern)
+    assignment = tuple(tuple(row) for row in rows)
+    return assignment, EatingTrace(phases=tuple(phases), critical_time=critical_time)
 
 
 def discrete_eating(market: Market, steps: int = 1000):

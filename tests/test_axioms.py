@@ -76,6 +76,14 @@ def test_sd_incomparable():
     assert not sd_dominates(y, x, ABC)
 
 
+def test_sd_rejects_mismatched_lengths_under_any_optimization_level():
+    x = (fr("1/2"), fr("1/2"))
+    with pytest.raises(ValueError):
+        sd_dominates(x, (fr(1), fr(0), fr(0)), ABC)
+    with pytest.raises(ValueError):
+        sd_dominates(x, x, ABC)
+
+
 def test_sd_antisymmetry_random():
     rng = random.Random(3)
     for _ in range(200):

@@ -174,8 +174,8 @@ def test_strong_verification_runs_each_misreport_once():
         return run_rplq_exact(market).assignment
 
     assert verify_weak_sp(counting, m, strong=True) == (True, None)
-    # per student: the truthful run plus k! - 1 misreports
-    assert len(calls) == m.n * (math.factorial(m.k) - 1) + m.n
+    # one truthful run, then k! - 1 misreports per student
+    assert len(calls) == m.n * (math.factorial(m.k) - 1) + 1
 
 
 def test_strong_verification_reports_first_undominated_row():
