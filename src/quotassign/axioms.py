@@ -32,6 +32,9 @@ from .model import (
 TAU_CYCLE = "tau-cycle"
 WASTEFUL_CHAIN = "wasteful-chain"
 
+#: is_mqc_efficient enumerates k**n candidate assignments, at most this many
+ENUMERATION_GUARD = 10**6
+
 
 def sd_dominates(x: Sequence, y: Sequence, pref: Sequence[int], strict: bool = False) -> bool:
     """Does lottery row x stochastically dominate row y under `pref`?
@@ -101,18 +104,26 @@ def tau_graph(R: Matrix, prefs: Sequence[Sequence[int]]) -> dict:
     return edges
 
 
+def _tau(R: Matrix, prefs: Sequence[Sequence[int]]) -> tuple:
+    """The tau graph of R, as its edge dict and as sorted successor lists."""
+    edges = tau_graph(R, prefs)
+    successors = [[] for _ in range(len(R[0]) if R else 0)]
+    for (p, q) in sorted(edges):
+        successors[p].append(q)
+    return edges, successors
+
+
 def find_tau_cycle(R: Matrix, prefs: Sequence[Sequence[int]]) -> Optional[tuple]:
     """A directed cycle in the tau graph, or None.
 
     Returns (projects, witnesses): projects[j] tau projects[j+1] (cyclically)
     with witnesses[j] the student certifying that edge.
     """
-    edges = tau_graph(R, prefs)
-    k = len(R[0]) if R else 0
-    successors = [[] for _ in range(k)]
-    for (p, q) in sorted(edges):
-        successors[p].append(q)
+    return _cycle(*_tau(R, prefs))
 
+
+def _cycle(edges: dict, successors: list) -> Optional[tuple]:
+    k = len(successors)
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * k
     stack = []
@@ -155,16 +166,14 @@ def find_wasteful_chain(
     or None. Chains that revisit a project only exist alongside a tau cycle,
     so checking find_tau_cycle first makes this search complete.
     """
-    cols = column_sums(R)
+    return _chain(*_tau(R, prefs), column_sums(R), market)
+
+
+def _chain(edges: dict, successors: list, cols: Sequence, market: Market) -> Optional[tuple]:
     sources = [p for p in range(market.k) if cols[p] < market.upper[p]]
     sinks = {q for q in range(market.k) if cols[q] > market.lower[q]}
     if not sources or not sinks:
         return None
-    edges = tau_graph(R, prefs)
-    successors = [[] for _ in range(market.k)]
-    for (p, q) in sorted(edges):
-        successors[p].append(q)
-
     parent = {p: None for p in sources}
 
     def path_to(node):
@@ -214,56 +223,28 @@ class ImprovementWitness:
     improved: Matrix
 
 
-def _apply_shift(R: Matrix, moves) -> tuple:
-    """Apply (student, from_project, to_project, delta) moves; returns
-    (shift, improved)."""
+def _witness(kind: str, R: Matrix, projects, students, slack=()) -> ImprovementWitness:
+    """Shift delta along a tau path: students[j] gives up delta of the
+    project after projects[j] for projects[j], which they prefer. On a cycle
+    (one student per project) the project after the last is the first.
+    delta is the least probability given up, and at most each quota slack
+    in `slack`."""
+    after = [projects[(j + 1) % len(projects)] for j in range(len(students))]
+    delta = min([R[i][q] for i, q in zip(students, after)] + list(slack))
     n, k = len(R), len(R[0])
     shift = [[Fraction(0)] * k for _ in range(n)]
-    for student, source, target, delta in moves:
-        shift[student][source] -= delta
-        shift[student][target] += delta
+    for i, p, q in zip(students, projects, after):
+        shift[i][q] -= delta
+        shift[i][p] += delta
     improved = tuple(
         tuple(R[i][j] + shift[i][j] for j in range(k)) for i in range(n)
     )
-    return tuple(tuple(row) for row in shift), improved
-
-
-def _witness_from_cycle(R: Matrix, prefs, cycle, witnesses) -> ImprovementWitness:
-    m = len(cycle)
-    delta = min(R[witnesses[j]][cycle[(j + 1) % m]] for j in range(m))
-    moves = [
-        (witnesses[j], cycle[(j + 1) % m], cycle[j], delta) for j in range(m)
-    ]
-    shift, improved = _apply_shift(R, moves)
     return ImprovementWitness(
-        kind=TAU_CYCLE,
-        projects=tuple(cycle),
-        students=tuple(witnesses),
-        delta=delta,
-        shift=shift,
-        improved=improved,
-    )
-
-
-def _witness_from_chain(R: Matrix, market, students, projects) -> ImprovementWitness:
-    cols = column_sums(R)
-    head, tail = projects[0], projects[-1]
-    delta = min(
-        min(R[students[j]][projects[j + 1]] for j in range(len(students))),
-        market.upper[head] - cols[head],
-        cols[tail] - market.lower[tail],
-    )
-    moves = [
-        (students[j], projects[j + 1], projects[j], delta)
-        for j in range(len(students))
-    ]
-    shift, improved = _apply_shift(R, moves)
-    return ImprovementWitness(
-        kind=WASTEFUL_CHAIN,
+        kind=kind,
         projects=tuple(projects),
         students=tuple(students),
         delta=delta,
-        shift=shift,
+        shift=tuple(tuple(row) for row in shift),
         improved=improved,
     )
 
@@ -299,17 +280,21 @@ def is_ordinally_efficient(R: Matrix, market: Market) -> tuple:
     violations = feasibility_violations(R, market)
     if violations:
         raise ValueError("assignment is infeasible: " + "; ".join(violations))
-    cycle = find_tau_cycle(R, market.prefs)
+    edges, successors = _tau(R, market.prefs)
+    cycle = _cycle(edges, successors)
     if cycle is not None:
-        witness = _witness_from_cycle(R, market.prefs, *cycle)
-        _verify_witness(witness, R, market.prefs, market)
-        return False, witness
-    chain = find_wasteful_chain(R, market.prefs, market)
-    if chain is not None:
-        witness = _witness_from_chain(R, market, *chain)
-        _verify_witness(witness, R, market.prefs, market)
-        return False, witness
-    return True, None
+        witness = _witness(TAU_CYCLE, R, *cycle)
+    else:
+        cols = column_sums(R)
+        chain = _chain(edges, successors, cols, market)
+        if chain is None:
+            return True, None
+        students, projects = chain
+        head, tail = projects[0], projects[-1]
+        slack = (market.upper[head] - cols[head], cols[tail] - market.lower[tail])
+        witness = _witness(WASTEFUL_CHAIN, R, projects, students, slack)
+    _verify_witness(witness, R, market.prefs, market)
+    return False, witness
 
 
 def is_ml_fair(mu: Matrix, prefs: Sequence[Sequence[int]], master_list: Sequence[int]) -> tuple:
@@ -329,16 +314,16 @@ def is_ml_fair(mu: Matrix, prefs: Sequence[Sequence[int]], master_list: Sequence
     return True, None
 
 
-def is_mqc_efficient(mu: Matrix, market: Market, guard: int = 10**6) -> tuple:
+def is_mqc_efficient(mu: Matrix, market: Market) -> tuple:
     """Is the deterministic assignment Pareto-undominated among all feasible
     deterministic assignments?
 
     Exhaustive: enumerates every way to give each student one project and
-    filters by quotas, so it requires k**n <= `guard`. Returns (True, None)
-    or (False, dominating_matrix).
+    filters by quotas, so it requires k**n <= ENUMERATION_GUARD. Returns
+    (True, None) or (False, dominating_matrix).
     """
     n, k = market.n, market.k
-    if k**n > guard:
+    if k**n > ENUMERATION_GUARD:
         raise ValueError(
             f"{k}**{n} candidate assignments exceed the enumeration guard;"
             " check a sample of assignments instead"

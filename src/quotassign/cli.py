@@ -50,13 +50,13 @@ from .priority import (
     run_rplq_sampled,
 )
 from .strategy import (
+    MECHANISMS,
     STRICT_GAIN,
     impossibility_scenario,
     search_manipulation,
     verify_weak_sp,
 )
 
-CHECKABLE_AXIOMS = ("feasible", "ef", "wef", "oe", "ml", "pareto")
 DEFAULT_AXIOMS = "feasible,ef,wef,oe"
 
 
@@ -93,17 +93,21 @@ def _parse_order(text: str, n: int, what: str) -> tuple:
     return order
 
 
-def _row_json(row) -> list:
-    return [format_rational(value) for value in row]
+def _rows(matrix) -> list:
+    return assignment_to_json(matrix)["assignment"]
+
+
+def _names(market, projects):
+    return None if projects is None else [market.projects[p] for p in projects]
 
 
 def _improvement_json(witness, market) -> dict:
     return {
         "kind": witness.kind,
-        "projects": [market.projects[p] for p in witness.projects],
+        "projects": _names(market, witness.projects),
         "students": [i + 1 for i in witness.students],
         "delta": format_rational(witness.delta),
-        "improved": assignment_to_json(witness.improved)["assignment"],
+        "improved": _rows(witness.improved),
     }
 
 
@@ -111,14 +115,46 @@ def _manipulation_json(report, market) -> dict:
     return {
         "student": report.student + 1,
         "relation": report.relation,
-        "truthful_row": _row_json(report.truthful_row),
-        "misreport": None
-        if report.misreport is None
-        else [market.projects[p] for p in report.misreport],
+        "truthful_row": _rows([report.truthful_row])[0],
+        "misreport": _names(market, report.misreport),
         "misreport_row": None
         if report.misreport_row is None
-        else _row_json(report.misreport_row),
+        else _rows([report.misreport_row])[0],
     }
+
+
+def _pair(key: str):
+    return lambda pair, market: {"student": pair[0] + 1, key: pair[1] + 1}
+
+
+# name -> (checker, witness encoder, needs a 0/1 assignment). A checker takes
+# (matrix, market, master list) and looks its axiom up in this module when
+# called, so rebinding the names here (as bench/tracing.py does) reaches it.
+AXIOMS = {
+    "ef": (lambda R, m, master: is_envy_free(R, m.prefs), _pair("envies"), False),
+    "wef": (lambda R, m, master: is_weakly_envy_free(R, m.prefs), _pair("envies"), False),
+    "oe": (lambda R, m, master: is_ordinally_efficient(R, m), _improvement_json, False),
+    "ml": (
+        lambda R, m, master: is_ml_fair(R, m.prefs, master), _pair("prefers_assignment_of"), True
+    ),
+    "pareto": (
+        lambda R, m, master: is_mqc_efficient(R, m), lambda mu, m: {"dominating": _rows(mu)}, True
+    ),
+}
+CHECKABLE_AXIOMS = ("feasible", *AXIOMS)
+
+
+def _rplq(market, args) -> tuple:
+    """Exact RPLQ unless --samples is given: the matrix and its metadata."""
+    if args.samples:
+        result = run_rplq_sampled(market, args.samples, args.seed or 0)
+        return result.assignment, {
+            "mode": result.mode,
+            "samples": result.samples,
+            "seed": result.seed,
+        }
+    result = run_rplq_exact(market)
+    return result.assignment, {"mode": result.mode}
 
 
 def cmd_run(args) -> int:
@@ -133,14 +169,8 @@ def cmd_run(args) -> int:
         matrix = run_priolq(market, order)
         meta["order"] = [i + 1 for i in order]
     elif args.mechanism == "rplq":
-        if args.samples:
-            result = run_rplq_sampled(market, args.samples, args.seed or 0)
-            matrix = result.assignment
-            meta |= {"mode": result.mode, "samples": result.samples, "seed": result.seed}
-        else:
-            result = run_rplq_exact(market)
-            matrix = result.assignment
-            meta["mode"] = result.mode
+        matrix, details = _rplq(market, args)
+        meta |= details
     elif args.mechanism == "pslq":
         if args.trace:
             matrix, trace = run_pslq_traced(market)
@@ -152,12 +182,8 @@ def cmd_run(args) -> int:
         cloned, aggregate = clone_market(market, args.q)
         if args.inner_mechanism == "pslq":
             matrix = aggregate(run_pslq(cloned))
-        elif args.samples:
-            matrix = aggregate(
-                run_rplq_sampled(cloned, args.samples, args.seed or 0).assignment
-            )
         else:
-            matrix = aggregate(run_rplq_exact(cloned).assignment)
+            matrix = aggregate(_rplq(cloned, args)[0])
         meta |= {"q": args.q, "inner": args.inner_mechanism}
 
     if args.format == "json":
@@ -168,23 +194,14 @@ def cmd_run(args) -> int:
         return 0
     text = render(matrix, market, args.format)
     if trace is not None and args.format == "table":
-        lines = [text, ""]
-        critical = (
-            "none"
-            if trace.critical_time is None
-            else format_rational(trace.critical_time)
-        )
-        lines.append(f"critical time: {critical}")
-        for phase in trace.phases:
-            active = ",".join(market.projects[p] for p in phase.active)
-            closed = ",".join(market.projects[p] for p in phase.closed)
-            eating = " ".join(
-                f"{i + 1}:{market.projects[p]}" for i, p in enumerate(phase.pattern)
-            )
+        doc = trace_to_json(trace, market)
+        lines = [text, "", f"critical time: {doc['critical_time'] or 'none'}"]
+        for phase in doc["phases"]:
+            active, closed = ",".join(phase["active"]), ",".join(phase["closed"])
+            eating = " ".join(f"{i + 1}:{name}" for i, name in enumerate(phase["pattern"]))
             lines.append(
-                f"[{format_rational(phase.start)}, {format_rational(phase.end)}]"
-                f" {phase.event} active={{{active}}} closed={{{closed}}}"
-                f" eating {eating}"
+                f"[{phase['start']}, {phase['end']}] {phase['event']}"
+                f" active={{{active}}} closed={{{closed}}} eating {eating}"
             )
         text = "\n".join(lines)
     _emit(text, args)
@@ -203,7 +220,7 @@ def cmd_check(args) -> int:
     if not requested:
         raise MarketError("no axioms requested")
     violations = feasibility_violations(matrix, market)
-    needs_integral = [name for name in requested if name in ("ml", "pareto")]
+    needs_integral = [name for name in requested if name in AXIOMS and AXIOMS[name][2]]
     if needs_integral and not is_integral(matrix):
         raise MarketError(
             f"axiom {needs_integral[0]} needs a deterministic (0/1) assignment"
@@ -215,45 +232,19 @@ def cmd_check(args) -> int:
 
     report = {"axioms": {}}
     for name in requested:
-        entry = {}
         if name == "feasible":
-            entry["holds"] = not violations
+            entry = {"holds": not violations}
             if violations:
                 entry["witness"] = violations
         elif violations:
             # dependent axioms are undefined off the feasible polytope
-            entry["holds"] = False
-            entry["skipped"] = "assignment is infeasible"
-        elif name == "ef":
-            holds, pair = is_envy_free(matrix, market.prefs)
-            entry["holds"] = holds
+            entry = {"holds": False, "skipped": "assignment is infeasible"}
+        else:
+            check, encode, _ = AXIOMS[name]
+            holds, witness = check(matrix, market, master)
+            entry = {"holds": holds}
             if not holds:
-                entry["witness"] = {"student": pair[0] + 1, "envies": pair[1] + 1}
-        elif name == "wef":
-            holds, pair = is_weakly_envy_free(matrix, market.prefs)
-            entry["holds"] = holds
-            if not holds:
-                entry["witness"] = {"student": pair[0] + 1, "envies": pair[1] + 1}
-        elif name == "oe":
-            holds, witness = is_ordinally_efficient(matrix, market)
-            entry["holds"] = holds
-            if not holds:
-                entry["witness"] = _improvement_json(witness, market)
-        elif name == "ml":
-            holds, pair = is_ml_fair(matrix, market.prefs, master)
-            entry["holds"] = holds
-            if not holds:
-                entry["witness"] = {
-                    "student": pair[0] + 1,
-                    "prefers_assignment_of": pair[1] + 1,
-                }
-        else:  # pareto
-            holds, dominating = is_mqc_efficient(matrix, market)
-            entry["holds"] = holds
-            if not holds:
-                entry["witness"] = {
-                    "dominating": assignment_to_json(dominating)["assignment"]
-                }
+                entry["witness"] = encode(witness, market)
         report["axioms"][name] = entry
     report["all_hold"] = all(entry["holds"] for entry in report["axioms"].values())
     _emit(json.dumps(report, indent=2), args)
@@ -315,18 +306,10 @@ def cmd_impossibility(args) -> int:
         doc = {
             "market": market_to_json(report.market),
             "family_parameters": [format_rational(t) for t in report.family_parameters],
-            "first_misreport": [
-                report.market.projects[p] for p in report.first_misreport
-            ],
-            "unique_after_first": assignment_to_json(report.unique_after_first)[
-                "assignment"
-            ],
-            "second_misreport": [
-                report.market.projects[p] for p in report.second_misreport
-            ],
-            "unique_after_second": assignment_to_json(report.unique_after_second)[
-                "assignment"
-            ],
+            "first_misreport": _names(report.market, report.first_misreport),
+            "unique_after_first": _rows(report.unique_after_first),
+            "second_misreport": _names(report.market, report.second_misreport),
+            "unique_after_second": _rows(report.unique_after_second),
             "parameter_forced_by_first": format_rational(
                 report.parameter_forced_by_first
             ),
@@ -377,11 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", parents=[common], help="run a mechanism")
     run.add_argument("mechanism", choices=("priolq", "rplq", "pslq", "multiunit"))
     run.add_argument("--order", help="priolq: 1-based priority order, e.g. 3,4,1,2")
-    sampling = run.add_mutually_exclusive_group()
-    sampling.add_argument(
-        "--exact", action="store_true", help="rplq: exact enumeration (default)"
+    run.add_argument(
+        "--samples", type=int, help="rplq: Monte Carlo sample count (default: exact)"
     )
-    sampling.add_argument("--samples", type=int, help="rplq: Monte Carlo sample count")
     run.add_argument("--trace", action="store_true", help="pslq: emit the eating trace")
     run.add_argument("--q", type=int, default=1, help="multiunit: units per student")
     run.add_argument(
@@ -416,20 +397,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dec.set_defaults(handler=cmd_decompose)
 
+    lab = argparse.ArgumentParser(add_help=False)
+    lab.add_argument("--mechanism", choices=tuple(MECHANISMS), default="pslq")
+
     man = sub.add_parser(
-        "manipulate", parents=[common], help="search misreports for one student"
-    )
-    man.add_argument(
-        "--mechanism", choices=("pslq", "rplq-exact"), default="pslq"
+        "manipulate", parents=[common, lab], help="search misreports for one student"
     )
     man.add_argument("--student", type=int, required=True, help="1-based student")
     man.set_defaults(handler=cmd_manipulate)
 
     wsp = sub.add_parser(
-        "verify-wsp", parents=[common], help="verify weak strategy-proofness"
-    )
-    wsp.add_argument(
-        "--mechanism", choices=("pslq", "rplq-exact"), default="pslq"
+        "verify-wsp", parents=[common, lab], help="verify weak strategy-proofness"
     )
     wsp.add_argument(
         "--strong",
@@ -467,10 +445,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (MarketError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # MarketError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

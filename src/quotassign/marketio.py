@@ -82,11 +82,10 @@ def parse_market(text: str) -> Market:
     return Market(names, lower, upper, preferences)
 
 
-def parse_assignment(text: str, market: Market) -> Matrix:
-    """Read an assignment matrix, {"assignment": rows} or a bare row array,
-    one row per student in market order."""
-    doc = _load_document(text)
-    rows = doc.get("assignment") if isinstance(doc, dict) else doc
+def _matrix(rows, market: Market, field: str, parsed: dict) -> Matrix:
+    """Read `rows` as an n x k matrix whose entries are named `field`[r][p]
+    in errors. `parsed` holds the Fraction of every string already read in
+    the same document, so each distinct string is parsed once."""
     if not isinstance(rows, list):
         raise MarketError('expected an "assignment" array of rows')
     if len(rows) != market.n:
@@ -94,28 +93,39 @@ def parse_assignment(text: str, market: Market) -> Matrix:
     matrix = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != market.k:
-            raise MarketError(f"assignment[{i}]: expected {market.k} entries")
-        matrix.append(
-            tuple(
-                _rational_field(value, f"assignment[{i}][{p}]")
-                for p, value in enumerate(row)
-            )
-        )
+            raise MarketError(f"{field}[{i}]: expected {market.k} entries")
+        entries = []
+        for p, value in enumerate(row):
+            if not isinstance(value, str):
+                entries.append(_rational_field(value, f"{field}[{i}][{p}]"))
+                continue
+            if value not in parsed:
+                parsed[value] = _rational_field(value, f"{field}[{i}][{p}]")
+            entries.append(parsed[value])
+        matrix.append(tuple(entries))
     return tuple(matrix)
+
+
+def parse_assignment(text: str, market: Market) -> Matrix:
+    """Read an assignment matrix, {"assignment": rows} or a bare row array,
+    one row per student in market order."""
+    doc = _load_document(text)
+    rows = doc.get("assignment") if isinstance(doc, dict) else doc
+    return _matrix(rows, market, "assignment", {})
 
 
 def parse_lottery(text: str, market: Market) -> Lottery:
     doc = _load_document(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
         raise MarketError('expected a "terms" array')
+    parsed = {}
     terms = []
     for idx, term in enumerate(doc["terms"]):
         field = f"terms[{idx}]"
         if not isinstance(term, dict) or "weight" not in term or "assignment" not in term:
             raise MarketError(f"{field}: expected weight and assignment")
         weight = _rational_field(term["weight"], f"{field}.weight")
-        matrix = parse_assignment(json.dumps(term["assignment"]), market)
-        terms.append((weight, matrix))
+        terms.append((weight, _matrix(term["assignment"], market, f"{field}.assignment", parsed)))
     return Lottery(tuple(terms))
 
 
@@ -222,11 +232,11 @@ def serialize_trace(trace: EatingTrace, market: Market) -> str:
 # rendering
 
 
-def decimal_string(value: Fraction, digits: int = DECIMAL_DIGITS) -> str:
-    """Display-only decimal with `digits` significant digits; lossy for
-    most rationals by nature."""
+def decimal_string(value: Fraction) -> str:
+    """Display-only decimal with DECIMAL_DIGITS significant digits; lossy
+    for most rationals by nature."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 

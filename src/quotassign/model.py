@@ -18,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 #: one assignment-matrix row
@@ -159,9 +158,6 @@ class Market:
     def declared_upper(self) -> tuple:
         """The upper quotas as given: ``None`` for uncapped projects."""
         return tuple(None if free else q for free, q in zip(self.uncapped, self.upper))
-
-    def project_name(self, p: int) -> str:
-        return self.projects[p]
 
     def __eq__(self, other):
         if not isinstance(other, Market):

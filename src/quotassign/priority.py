@@ -111,7 +111,7 @@ def run_priolq(market: Market, order: Sequence[int]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def run_rplq_exact(market: Market, limit: int = EXACT_ENUMERATION_LIMIT) -> RplqResult:
+def run_rplq_exact(market: Market) -> RplqResult:
     """Average run_priolq over all n! priority orders, exactly.
 
     A forward dynamic program over the states the orders pass through: a
@@ -123,11 +123,11 @@ def run_rplq_exact(market: Market, limit: int = EXACT_ENUMERATION_LIMIT) -> Rplq
 
     Every entry of the result is a Fraction with denominator dividing n!,
     equal to the plain average over the n! orders. Markets with n >
-    `limit` are rejected; use run_rplq_sampled for those.
+    EXACT_ENUMERATION_LIMIT are rejected; use run_rplq_sampled for those.
     """
-    if market.n > limit:
+    if market.n > EXACT_ENUMERATION_LIMIT:
         raise ValueError(
-            f"n={market.n} exceeds the exact-enumeration limit {limit};"
+            f"n={market.n} exceeds the exact-enumeration limit {EXACT_ENUMERATION_LIMIT};"
             " use run_rplq_sampled instead"
         )
     lower, upper = _integer_quotas(market)

@@ -343,3 +343,41 @@ def test_bogus_witness_is_rejected_under_any_optimization_level():
     for spoiled in bogus:
         with pytest.raises(InternalError, match="witness"):
             _verify_witness(spoiled, CHAIN_MATRIX, m.prefs, m)
+
+
+def test_efficiency_check_builds_the_tau_graph_once(monkeypatch):
+    import quotassign.axioms as axioms
+
+    calls = []
+    original = axioms.tau_graph
+    monkeypatch.setattr(axioms, "tau_graph", lambda R, prefs: calls.append(1) or original(R, prefs))
+    for R, m in [(CHAIN_MATRIX, market_chain()), (PSLQ_FIVE, market_five())]:
+        calls.clear()
+        is_ordinally_efficient(R, m)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "lower, upper, delta",
+    [
+        ([0, 1, 0], ["3/4", 1, None], Fraction(1, 4)),  # cap slack at the head
+        ([0, 1, "3/8"], [None, 1, None], Fraction(1, 8)),  # lower slack at the tail
+    ],
+)
+def test_chain_shift_is_bounded_by_quota_slack(lower, upper, delta):
+    m = Market(["a", "b", "c"], lower, upper, [["a", "b", "c"], ["b", "c", "a"]])
+    ok, witness = is_ordinally_efficient(CHAIN_MATRIX, m)
+    assert not ok
+    assert (witness.kind, witness.projects, witness.students) == (WASTEFUL_CHAIN, (0, 1, 2), (0, 1))
+    assert witness.delta == delta
+    assert witness.shift == ((delta, -delta, 0), (0, delta, -delta))
+
+
+def test_three_cycle_witness():
+    prefs = [["a", "b", "c"], ["b", "c", "a"], ["c", "a", "b"]]
+    m = Market(["a", "b", "c"], [0] * 3, [None] * 3, prefs)
+    ok, witness = is_ordinally_efficient(mat("0 1 0", "0 0 1", "1 0 0"), m)
+    assert not ok
+    assert (witness.kind, witness.projects, witness.students) == (TAU_CYCLE, (0, 1, 2), (0, 1, 2))
+    assert witness.delta == 1
+    assert witness.improved == mat("1 0 0", "0 1 0", "0 0 1")

@@ -479,3 +479,29 @@ def test_multiunit_uncapped_first_choice_takes_all_units(tmp_path, capsys, mecha
     )
     assert code == 0
     assert doc["assignment"] == [["2", "0", "0"]] * 3
+
+
+def test_check_calls_the_axiom_bound_in_the_cli_module(tmp_path, capsys, monkeypatch):
+    # the axiom table must look its checkers up when called, so that a
+    # rebinding of quotassign.cli's names (the traced benchmark's) is used
+    import quotassign.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "is_envy_free", lambda R, prefs: seen.append("ef") or (True, None))
+    monkeypatch.setattr(
+        cli, "is_ordinally_efficient", lambda R, market: seen.append("oe") or (True, None)
+    )
+    code, doc = run_json(
+        capsys,
+        [
+            "check",
+            "--axioms",
+            "oe,ef",
+            "--input",
+            market_file(tmp_path, market_lower_quotas()),
+            "--assignment",
+            assignment_file(tmp_path, RPLQ_LOWER_QUOTAS),
+        ],
+    )
+    assert code == 0 and doc["all_hold"] is True
+    assert seen == ["oe", "ef"]

@@ -242,3 +242,24 @@ def test_uncapped_projects_serialize_as_null():
     doc = market_to_json(market)
     assert [entry["upper"] for entry in doc["projects"]] == [None, "2"]
     assert parse_market(serialize_market(market)) == market
+
+
+def test_lottery_diagnostics_name_the_term():
+    market = market_five()
+    good = [["0", "1", "0"]] * 5
+    bad = [["1", "0", "0"], ["1", "0", "boom"]] + [["0", "1", "0"]] * 3
+    doc = {"terms": [{"weight": "1/2", "assignment": good}, {"weight": "1/2", "assignment": bad}]}
+    with pytest.raises(MarketError, match=r"^terms\[1\]\.assignment\[1\]\[2\]: not a rational"):
+        parse_lottery(json.dumps(doc), market)
+    doc["terms"][1]["assignment"] = [["1", "0"]] + good[1:]
+    with pytest.raises(MarketError, match=r"^terms\[1\]\.assignment\[0\]: expected 3 entries"):
+        parse_lottery(json.dumps(doc), market)
+
+
+def test_repeated_strings_parse_to_equal_entries_and_fail_at_their_first_place():
+    market = market_five()
+    rows = [["1/2", "0", " 1/2 "]] * 4 + [["0", "0", "1"]]
+    assert parse_assignment(json.dumps(rows), market)[3] == (Fraction(1, 2), 0, Fraction(1, 2))
+    rows = [["1", "0", "0"], ["x", "0", "1"], ["x", "1", "0"]] + [["0", "0", "1"]] * 2
+    with pytest.raises(MarketError, match=r"^assignment\[1\]\[0\]: not a rational"):
+        parse_assignment(json.dumps(rows), market)
