@@ -84,4 +84,5 @@ from .strategy import (
     verify_weak_sp,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are package attributes too; export only the names they define
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, type(model)))

@@ -15,7 +15,7 @@ every touched student strictly prefers, returned as an ImprovementWitness.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -27,13 +27,11 @@ from .model import (
     assigned_project,
     column_sums,
     feasibility_violations,
+    is_integral,
 )
 
 TAU_CYCLE = "tau-cycle"
 WASTEFUL_CHAIN = "wasteful-chain"
-
-#: is_mqc_efficient enumerates k**n candidate assignments, at most this many
-ENUMERATION_GUARD = 10**6
 
 
 def sd_dominates(x: Sequence, y: Sequence, pref: Sequence[int], strict: bool = False) -> bool:
@@ -264,6 +262,12 @@ def _verify_witness(witness: ImprovementWitness, R: Matrix, prefs, market) -> No
             )
 
 
+def _require_feasible(R: Matrix, market: Market) -> None:
+    violations = feasibility_violations(R, market)
+    if violations:
+        raise ValueError("assignment is infeasible: " + "; ".join(violations))
+
+
 def is_ordinally_efficient(R: Matrix, market: Market) -> tuple:
     """Decide ordinal efficiency: R is efficient iff the tau graph is
     acyclic and no wasteful chain exists.
@@ -277,9 +281,12 @@ def is_ordinally_efficient(R: Matrix, market: Market) -> tuple:
     ValueError
         If R is not feasible for the market.
     """
-    violations = feasibility_violations(R, market)
-    if violations:
-        raise ValueError("assignment is infeasible: " + "; ".join(violations))
+    _require_feasible(R, market)
+    return _audit(R, market)
+
+
+def _audit(R: Matrix, market: Market) -> tuple:
+    """is_ordinally_efficient on an R already known to be feasible."""
     edges, successors = _tau(R, market.prefs)
     cycle = _cycle(edges, successors)
     if cycle is not None:
@@ -318,41 +325,28 @@ def is_mqc_efficient(mu: Matrix, market: Market) -> tuple:
     """Is the deterministic assignment Pareto-undominated among all feasible
     deterministic assignments?
 
-    Exhaustive: enumerates every way to give each student one project and
-    filters by quotas, so it requires k**n <= ENUMERATION_GUARD. Returns
-    (True, None) or (False, dominating_matrix).
+    A 0/1 matrix meets the quotas [l, u] exactly when it meets the integer
+    window [ceil(l), floor(u)]. With integer quotas the constraints form a
+    bihierarchy (Budish, Che, Kojima & Milgrom 2013), so on a 0/1 matrix
+    every improvement the ordinal-efficiency audit finds moves whole seats:
+    mu is Pareto-efficient iff it is ordinally efficient in the rounded
+    market. Polynomial, with no size cap. Returns (True, None) or (False,
+    dominating), a feasible 0/1 assignment that every student weakly
+    prefers and the audit's witness students strictly prefer.
+
+    Raises
+    ------
+    ValueError
+        If mu is infeasible for the market or not a 0/1 assignment.
     """
-    n, k = market.n, market.k
-    if k**n > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{k}**{n} candidate assignments exceed the enumeration guard;"
-            " check a sample of assignments instead"
-        )
-    violations = feasibility_violations(mu, market)
-    if violations:
-        raise ValueError("assignment is infeasible: " + "; ".join(violations))
-    current = [assigned_project(row) for row in mu]
-    ranks = [
-        {p: pos for pos, p in enumerate(ranking)} for ranking in market.prefs
-    ]
-    for candidate in itertools.product(range(k), repeat=n):
-        counts = [0] * k
-        for p in candidate:
-            counts[p] += 1
-        if any(
-            counts[p] < market.lower[p] or counts[p] > market.upper[p]
-            for p in range(k)
-        ):
-            continue
-        weakly_better = all(
-            ranks[i][candidate[i]] <= ranks[i][current[i]] for i in range(n)
-        )
-        if weakly_better and any(
-            ranks[i][candidate[i]] < ranks[i][current[i]] for i in range(n)
-        ):
-            dominating = tuple(
-                tuple(1 if j == candidate[i] else 0 for j in range(k))
-                for i in range(n)
-            )
-            return False, dominating
-    return True, None
+    _require_feasible(mu, market)
+    if not is_integral(mu):
+        raise ValueError("assignment is not deterministic: entries must be 0 or 1")
+    upper = [q if q is None else math.floor(q) for q in market.declared_upper()]
+    rounded = Market(market.projects, [math.ceil(q) for q in market.lower], upper, market.prefs)
+    ok, witness = _audit(mu, rounded)
+    if ok:
+        return True, None
+    if witness.delta != 1:
+        raise InternalError(f"{witness.kind} witness on a 0/1 assignment shifts {witness.delta}")
+    return False, witness.improved

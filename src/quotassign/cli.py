@@ -146,7 +146,7 @@ CHECKABLE_AXIOMS = ("feasible", *AXIOMS)
 
 def _rplq(market, args) -> tuple:
     """Exact RPLQ unless --samples is given: the matrix and its metadata."""
-    if args.samples:
+    if args.samples is not None:
         result = run_rplq_sampled(market, args.samples, args.seed or 0)
         return result.assignment, {
             "mode": result.mode,

@@ -85,6 +85,41 @@ def rplq_by_enumeration(market: Market):
     return tuple(tuple(weight * t for t in row) for row in totals)
 
 
+def pareto_by_enumeration(mu, market: Market):
+    """Pareto efficiency of a feasible 0/1 assignment among all feasible 0/1
+    assignments, by trying every one of the k**n ways to seat the students.
+
+    Returns (True, None) or (False, dominating) with the lexicographically
+    first dominating assignment.
+    """
+    n, k = market.n, market.k
+    current = [row.index(1) for row in mu]
+    ranks = [
+        {p: pos for pos, p in enumerate(ranking)} for ranking in market.prefs
+    ]
+    for candidate in itertools.product(range(k), repeat=n):
+        counts = [0] * k
+        for p in candidate:
+            counts[p] += 1
+        if any(
+            counts[p] < market.lower[p] or counts[p] > market.upper[p]
+            for p in range(k)
+        ):
+            continue
+        weakly_better = all(
+            ranks[i][candidate[i]] <= ranks[i][current[i]] for i in range(n)
+        )
+        if weakly_better and any(
+            ranks[i][candidate[i]] < ranks[i][current[i]] for i in range(n)
+        ):
+            dominating = tuple(
+                tuple(1 if j == candidate[i] else 0 for j in range(k))
+                for i in range(n)
+            )
+            return False, dominating
+    return True, None
+
+
 def pslq_by_full_matrix(market: Market):
     """PSLQ with the whole n x k consumption matrix as its state.
 

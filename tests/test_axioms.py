@@ -20,6 +20,7 @@ from quotassign.axioms import (
     tau_graph,
 )
 from quotassign.eating import run_pslq
+from quotassign.marketio import GeneratorConfig, generate_market
 from quotassign.model import InternalError, Market, is_feasible
 from quotassign.priority import run_priolq
 
@@ -322,11 +323,40 @@ def test_mqc_unique_assignment_is_efficient():
     assert is_mqc_efficient(mat("1 0", "1 0"), m) == (True, None)
 
 
-def test_mqc_guard():
-    prefs = [["a", "b", "c", "d"]] * 12
-    m = Market(["a", "b", "c", "d"], [0] * 4, [None] * 4, prefs)
+def test_mqc_decides_markets_past_the_old_enumeration_size():
+    # 4**12 candidate assignments; student i ranks project i mod 4 first
+    names = ["a", "b", "c", "d"]
+    prefs = [names[i % 4:] + names[: i % 4] for i in range(12)]
+    m = Market(names, [0] * 4, [None] * 4, prefs)
     mu = tuple((1, 0, 0, 0) for _ in range(12))
-    with pytest.raises(ValueError, match="guard"):
+    ok, dominating = is_mqc_efficient(mu, m)
+    assert not ok
+    # the wasteful chain b -> a: student 2 moves to b, everyone else stays
+    assert dominating == tuple((0, 1, 0, 0) if i == 1 else (1, 0, 0, 0) for i in range(12))
+
+
+def test_mqc_efficiency_of_a_large_priority_run():
+    m = generate_market(GeneratorConfig(n=600, k=30, seed=2, quota_style="integer-loose"))
+    assert is_mqc_efficient(run_priolq(m, range(600)), m) == (True, None)
+
+
+def test_mqc_rejects_fractional_and_infeasible_assignments():
+    m = Market(["a", "b"], [0, 0], [2, 2], [["a", "b"], ["b", "a"]])
+    with pytest.raises(ValueError, match="not deterministic"):
+        is_mqc_efficient(mat("1/2 1/2", "0 1"), m)
+    with pytest.raises(ValueError, match="assignment is infeasible"):
+        is_mqc_efficient(mat("1 0", "1 1"), m)
+
+
+def test_mqc_witness_shifting_less_than_a_seat_is_rejected(monkeypatch):
+    import quotassign.axioms as axioms
+
+    m = Market(["a", "b"], [0, 0], [1, 1], [["a", "b"], ["b", "a"]])
+    mu = mat("0 1", "1 0")
+    _, witness = is_ordinally_efficient(mu, m)
+    half = dataclasses.replace(witness, delta=Fraction(1, 2))
+    monkeypatch.setattr(axioms, "_audit", lambda R, market: (False, half))
+    with pytest.raises(InternalError, match="witness on a 0/1 assignment shifts 1/2"):
         is_mqc_efficient(mu, m)
 
 

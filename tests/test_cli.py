@@ -413,6 +413,14 @@ def test_bad_priority_order(tmp_path, capsys):
     assert "permutation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mechanism", [["rplq"], ["multiunit", "--mechanism", "rplq"]])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_rplq_rejects_fewer_than_one_sample(tmp_path, capsys, mechanism, samples):
+    argv = ["run", *mechanism, "--samples", samples, "--input", market_file(tmp_path, market_five())]
+    assert main(argv) == 2
+    assert "samples must be at least 1" in capsys.readouterr().err
+
+
 def test_student_out_of_range(tmp_path, capsys):
     code = main(
         [

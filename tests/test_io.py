@@ -86,6 +86,10 @@ def test_parse_market_defaults_and_null_upper():
             r"projects\[0\].lower",
         ),
         (
+            '{"projects": [{"name": "a", "lower": true}], "preferences": [["a"]]}',
+            r"projects\[0\].lower: not a rational number: True",
+        ),
+        (
             '{"projects": [{"name": "a"}], "preferences": [[1]]}',
             r"preferences\[0\]",
         ),
@@ -133,6 +137,9 @@ def test_assignment_diagnostics():
     bad = [["1", "0", "boom"]] + [["0", "1", "0"]] * 4
     with pytest.raises(MarketError, match=r"assignment\[0\]\[2\]"):
         parse_assignment(json.dumps(bad), market)
+    flags = [[True, False, False]] + [[False, True, False]] * 4
+    with pytest.raises(MarketError, match=r"assignment\[0\]\[0\]: not a rational number: True"):
+        parse_assignment(json.dumps(flags), market)
 
 
 def test_lottery_round_trip():

@@ -39,6 +39,10 @@ def test_as_rational_rejects_garbage():
         as_rational("1/0")
     with pytest.raises(MarketError):
         as_rational(None)
+    # bool is an int subclass, but a JSON true/false is no quota or entry
+    for flag in (True, False):
+        with pytest.raises(MarketError):
+            as_rational(flag)
 
 
 def test_unbounded_upper_becomes_n():
@@ -147,3 +151,14 @@ def test_uncapped_projects_are_flagged():
     assert m.declared_upper() == (None, 2)
     # same numbers, but a cap of 2 on a is a different market from no cap
     assert m != Market(["a", "b"], [0, 1], [2, 2], [["a", "b"], ["b", "a"]])
+
+
+def test_package_exports_names_not_submodules():
+    import types
+
+    import quotassign
+
+    for name in quotassign.__all__:
+        assert not isinstance(getattr(quotassign, name), types.ModuleType), name
+    assert {"axioms", "model", "strategy"}.isdisjoint(quotassign.__all__)
+    assert {"Market", "run_pslq", "is_mqc_efficient"} <= set(quotassign.__all__)
