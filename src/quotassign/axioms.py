@@ -209,15 +209,14 @@ class ImprovementWitness:
 
     `kind` is "tau-cycle" or "wasteful-chain". `projects` lists the cycle
     nodes (closing edge implied) or the chain nodes; `students` the witness
-    per edge. `improved` = R + `shift` sd-dominates R row by row, strictly
-    for every witness, and `delta` is the exact amount shifted per edge.
+    per edge. `improved`, R with `delta` moved along every edge,
+    sd-dominates R row by row, strictly for every witness.
     """
 
     kind: str
     projects: tuple
     students: tuple
     delta: Fraction
-    shift: Matrix
     improved: Matrix
 
 
@@ -229,21 +228,18 @@ def _witness(kind: str, R: Matrix, projects, students, slack=()) -> ImprovementW
     in `slack`."""
     after = [projects[(j + 1) % len(projects)] for j in range(len(students))]
     delta = min([R[i][q] for i, q in zip(students, after)] + list(slack))
-    n, k = len(R), len(R[0])
-    shift = [[Fraction(0)] * k for _ in range(n)]
+    improved = list(R)  # only the witness students' rows are replaced
     for i, p, q in zip(students, projects, after):
-        shift[i][q] -= delta
-        shift[i][p] += delta
-    improved = tuple(
-        tuple(R[i][j] + shift[i][j] for j in range(k)) for i in range(n)
-    )
+        row = list(improved[i])
+        row[q] -= delta
+        row[p] += delta
+        improved[i] = tuple(row)
     return ImprovementWitness(
         kind=kind,
         projects=tuple(projects),
         students=tuple(students),
         delta=delta,
-        shift=tuple(tuple(row) for row in shift),
-        improved=improved,
+        improved=tuple(improved),
     )
 
 

@@ -2,9 +2,10 @@
 
 Under integer quotas every feasible random assignment is a convex
 combination of feasible deterministic assignments. `decompose` builds one
-such lottery constructively: extract an extreme point of the feasible
-polytope, peel off the largest step that keeps the renormalized remainder
-feasible, repeat until the remainder is itself deterministic.
+such lottery constructively. It keeps `rest`, what the terms so far leave of
+the input, and `mass`, 1 minus their weights, and never normalises: each peel
+takes the largest weight of a deterministic assignment on the support of rest
+inside the column floor/ceiling windows of rest/mass, until no mass is left.
 """
 
 from __future__ import annotations
@@ -102,20 +103,22 @@ def _reject_bad_input(assignment: Matrix, market: Market) -> None:
 def extract_extreme_point(assignment: Matrix, market: Market) -> Matrix:
     """One deterministic assignment agreeing with the integral entries of
     `assignment` whose column sums sit inside the floor/ceiling window of
-    `assignment`'s column sums.
-
-    Found as an integral flow: each student pushes one unit through the
-    projects they hold a positive share of; the per-column window [floor,
-    ceil] is an arc with a lower bound, reduced to plain capacities via the
-    usual excess arcs to a super source/sink. Entries equal to 1 need no
-    special handling: such a row has a single arc, so the unit is forced
-    through it.
-    """
+    `assignment`'s column sums."""
     _reject_bad_input(assignment, market)
-    n, k = market.n, market.k
     sums = column_sums(assignment)
-    floors = [math.floor(s) for s in sums]
-    ceilings = [math.ceil(s) for s in sums]
+    return _extreme_point(assignment, [math.floor(s) for s in sums], [math.ceil(s) for s in sums])
+
+
+def _extreme_point(support: Matrix, floors: list, ceilings: list) -> Matrix:
+    """A 0/1 matrix, 1 only where `support` is positive, with one 1 per row
+    and between floors[p] and ceilings[p] in each column p, found as an
+    integral flow: each student pushes one unit through the projects they
+    hold a positive share of; the per-column window [floor, ceil] is an arc
+    with a lower bound, reduced to plain capacities via the usual excess arcs
+    to a super source/sink. A row whose only positive entry is its 1 has a
+    single arc, so the unit is forced through it.
+    """
+    n, k = len(support), len(floors)
     # nodes: students 0..n-1, projects n..n+k-1, then collector / super
     # source / super sink
     collector = n + k
@@ -129,7 +132,7 @@ def extract_extreme_point(assignment: Matrix, market: Market) -> Matrix:
     share_arcs = {}
     for i in range(n):
         for p in range(k):
-            if assignment[i][p] > 0:
+            if support[i][p]:  # entries are nonnegative
                 share_arcs[i, p] = net.add_edge(i, n + p, 1)
     for p in range(k):
         if ceilings[p] > floors[p]:
@@ -148,52 +151,47 @@ def extract_extreme_point(assignment: Matrix, market: Market) -> Matrix:
     return tuple(tuple(row) for row in extracted)
 
 
-def _step_size(assignment: Matrix, extracted: Matrix) -> Fraction:
-    """Largest step keeping (assignment - step*extracted)/(1 - step) inside
-    [0, 1] entrywise and every column sum inside its floor/ceiling window."""
-    ratios = []
-    for current_row, extracted_row in zip(assignment, extracted):
-        for r, x in zip(current_row, extracted_row):
-            if x == 1:
-                if r != 1:
-                    ratios.append(r)  # entry falls to 0 at step == r
-            elif r > 0:
-                ratios.append(1 - r)  # entry climbs to 1 at step == 1 - r
-    for s, c in zip(column_sums(assignment), column_sums(extracted)):
-        lo = math.floor(s)
-        hi = math.ceil(s)
+def _peel_weight(rest, mass: Fraction, x: Matrix, sums, floors, ceilings) -> Fraction:
+    """Largest w keeping rest - w*x inside [0, mass - w] entrywise and every
+    column sum inside (mass - w) times its floor/ceiling window.
+
+    Every row of rest sums to mass, so while a row's held entry (where x
+    is 1) stays nonnegative its other entries stay at most mass - w: of the
+    entries, only the held ones bound w.
+    """
+    ratios = [row[x_row.index(1)] for row, x_row in zip(rest, x)]  # held entry falls to 0
+    for s, c, lo, hi in zip(sums, column_sums(x), floors, ceilings):
         if c > lo:
-            ratios.append((s - lo) / (c - lo))  # column falls to its floor
+            ratios.append((s - mass * lo) / (c - lo))  # column falls to its floor
         if c < hi:
-            ratios.append((hi - s) / (hi - c))  # column climbs to its ceiling
-    return min(ratios, default=Fraction(1))
+            ratios.append((mass * hi - s) / (hi - c))  # column climbs to its ceiling
+    return min(ratios)
 
 
 def decompose(assignment: Matrix, market: Market) -> Lottery:
     """Write `assignment` as a lottery over feasible deterministic
     assignments, reconstructing it exactly.
 
-    Each peel turns a fractional entry or a fractional column sum integral
+    Each peel makes a fractional entry or column sum of rest/mass integral,
     and nothing integral ever turns fractional again, so the lottery has at
     most (fractional entries) + (fractional column sums) + 1 terms.
     """
     _reject_bad_input(assignment, market)
+    rest = [list(row) for row in assignment]
+    sums = list(column_sums(assignment))
+    mass = Fraction(1)
     terms = []
-    weight = Fraction(1)
-    current = assignment
-    while True:
-        extracted = extract_extreme_point(current, market)
-        step = _step_size(current, extracted)
-        if step == 1:
-            if current != extracted:
-                raise InternalError("full step left a remainder unlike its extreme point")
-            terms.append((weight, extracted))
-            break
-        terms.append((weight * step, extracted))
-        scale = 1 - step
-        current = tuple(
-            tuple((r - step * x) / scale for r, x in zip(current_row, extracted_row))
-            for current_row, extracted_row in zip(current, extracted)
-        )
-        weight *= scale
+    while mass > 0:
+        floors = [math.floor(s / mass) for s in sums]
+        ceilings = [math.ceil(s / mass) for s in sums]
+        x = _extreme_point(rest, floors, ceilings)
+        weight = _peel_weight(rest, mass, x, sums, floors, ceilings)
+        for row, x_row in zip(rest, x):
+            p = x_row.index(1)
+            row[p] -= weight
+            sums[p] -= weight
+        mass -= weight
+        terms.append((weight, x))
+    if any(any(row) for row in rest):
+        raise InternalError("the peeled terms do not add up to the assignment")
     return Lottery(tuple(terms))

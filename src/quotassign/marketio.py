@@ -45,6 +45,12 @@ def _rational_field(value, field: str) -> Fraction:
         raise MarketError(f"{field}: {exc}") from None
 
 
+def _names(value, field: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise MarketError(f"{field}: must be an array of project names")
+    return value
+
+
 def parse_market(text: str) -> Market:
     """Read a market document: {"projects": [{"name", "lower", "upper"}],
     "preferences": [[names best first], ...]}.
@@ -71,14 +77,9 @@ def parse_market(text: str) -> Market:
         lower.append(_rational_field(entry.get("lower", 0), f"{field}.lower"))
         cap = entry.get("upper")
         upper.append(None if cap is None else _rational_field(cap, f"{field}.upper"))
-    preferences = []
-    for idx, ranking in enumerate(doc["preferences"]):
-        field = f"preferences[{idx}]"
-        if not isinstance(ranking, list) or not all(
-            isinstance(name, str) for name in ranking
-        ):
-            raise MarketError(f"{field}: must be an array of project names")
-        preferences.append(ranking)
+    preferences = [
+        _names(ranking, f"preferences[{idx}]") for idx, ranking in enumerate(doc["preferences"])
+    ]
     return Market(names, lower, upper, preferences)
 
 
@@ -140,21 +141,23 @@ def parse_trace(text: str, market: Market) -> EatingTrace:
         if not isinstance(phase, dict):
             raise MarketError(f"{field}: must be an object")
         try:
+            projects = {
+                key: tuple(market.index[name] for name in _names(phase[key], f"{field}.{key}"))
+                for key in ("active", "pattern", "closed")
+            }
             phases.append(
                 EatingPhase(
                     start=_rational_field(phase["start"], f"{field}.start"),
                     end=_rational_field(phase["end"], f"{field}.end"),
-                    active=tuple(market.index[name] for name in phase["active"]),
-                    pattern=tuple(market.index[name] for name in phase["pattern"]),
                     event=phase["event"],
-                    closed=tuple(market.index[name] for name in phase["closed"]),
+                    **projects,
                 )
             )
         except KeyError as exc:
             raise MarketError(f"{field}: missing or unknown {exc}") from None
     return EatingTrace(
         phases=tuple(phases),
-        critical_time=None if critical is None else as_rational(critical),
+        critical_time=None if critical is None else _rational_field(critical, "critical_time"),
     )
 
 

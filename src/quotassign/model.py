@@ -40,7 +40,7 @@ def as_rational(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and "e" not in value.lower():  # no exponent: Fraction builds 10**exp
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -2,9 +2,10 @@
 
 Deliberately written from the definitions, sharing no code with the package
 internals beyond the Market container, so that agreement is evidence rather
-than tautology. The one exception is `pslq_by_full_matrix`, the earlier
-full-matrix eating loop, which reuses the package's phase-event rule (see
-its docstring).
+than tautology. The two exceptions are `pslq_by_full_matrix`, the earlier
+full-matrix eating loop, which reuses the package's phase-event rule, and
+`decompose_by_renormalising`, the earlier peel loop, which reuses the
+package's public `extract_extreme_point` (see their docstrings).
 """
 
 import itertools
@@ -20,7 +21,8 @@ from quotassign.eating import (
     initial_state,
     next_event,
 )
-from quotassign.model import InternalError, Market, choice
+from quotassign.decompose import Lottery, extract_extreme_point
+from quotassign.model import InternalError, Market, choice, column_sums
 
 
 def classical_ps(market: Market):
@@ -252,3 +254,55 @@ def exists_dominating(R, market: Market, denominator: int):
         ):
             return rows
     return None
+
+
+def _step_size(assignment, extracted):
+    """Largest step keeping (assignment - step*extracted)/(1 - step) inside
+    [0, 1] entrywise and every column sum inside its floor/ceiling window."""
+    ratios = []
+    for current_row, extracted_row in zip(assignment, extracted):
+        for r, x in zip(current_row, extracted_row):
+            if x == 1:
+                if r != 1:
+                    ratios.append(r)  # entry falls to 0 at step == r
+            elif r > 0:
+                ratios.append(1 - r)  # entry climbs to 1 at step == 1 - r
+    for s, c in zip(column_sums(assignment), column_sums(extracted)):
+        lo = math.floor(s)
+        hi = math.ceil(s)
+        if c > lo:
+            ratios.append((s - lo) / (c - lo))  # column falls to its floor
+        if c < hi:
+            ratios.append((hi - s) / (hi - c))  # column climbs to its ceiling
+    return min(ratios, default=Fraction(1))
+
+
+def decompose_by_renormalising(assignment, market: Market):
+    """The earlier `decompose` loop: after each peel, divide the remainder by
+    1 - step so that it is again a random assignment, and keep a running
+    product of the scales as the next term's weight.
+
+    It calls the package's `extract_extreme_point` on every renormalised
+    remainder (which validates it each time), so agreement with `decompose`
+    checks the unnormalised peel (weights, windows and the stopping rule),
+    not the flow network.
+    """
+    terms = []
+    weight = Fraction(1)
+    current = assignment
+    while True:
+        extracted = extract_extreme_point(current, market)
+        step = _step_size(current, extracted)
+        if step == 1:
+            if current != extracted:
+                raise InternalError("full step left a remainder unlike its extreme point")
+            terms.append((weight, extracted))
+            break
+        terms.append((weight * step, extracted))
+        scale = 1 - step
+        current = tuple(
+            tuple((r - step * x) / scale for r, x in zip(current_row, extracted_row))
+            for current_row, extracted_row in zip(current, extracted)
+        )
+        weight *= scale
+    return Lottery(tuple(terms))

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from quotassign.decompose import Lottery, decompose, extract_extreme_point
 from quotassign.eating import run_pslq
-from quotassign.model import Market, column_sums, is_feasible, is_integral
+from quotassign.model import InternalError, Market, column_sums, is_feasible, is_integral
 from quotassign.priority import run_priolq
 
 from conftest import random_market
@@ -21,6 +22,9 @@ from goldens import (
     market_thirds,
     mat,
 )
+
+# the package's `decompose` attribute is the function, not the module
+decompose_module = importlib.import_module("quotassign.decompose")
 
 
 def fractional_entries(R):
@@ -157,3 +161,23 @@ def test_decompose_random_eating_outputs(rng):
         m = random_market(rng)
         R = run_pslq(m)
         check_lottery(decompose(R, m), R, m)
+
+
+def test_decompose_checks_feasibility_once(monkeypatch):
+    calls = []
+    original = decompose_module.feasibility_violations
+    monkeypatch.setattr(
+        decompose_module,
+        "feasibility_violations",
+        lambda R, market: calls.append(1) or original(R, market),
+    )
+    m = market_five()
+    assert len(decompose(PSLQ_FIVE, m)) > 1
+    assert len(calls) == 1
+
+
+def test_peel_that_leaves_a_remainder_is_rejected(monkeypatch):
+    # a first peel taking all the mass leaves the rest of PSLQ_FIVE behind
+    monkeypatch.setattr(decompose_module, "_peel_weight", lambda rest, mass, *_: mass)
+    with pytest.raises(InternalError, match="do not add up"):
+        decompose(PSLQ_FIVE, market_five())

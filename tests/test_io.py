@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,10 @@ def test_parse_market_defaults_and_null_upper():
             r"projects\[0\].lower: not a rational number: True",
         ),
         (
+            '{"projects": [{"name": "a", "upper": "1e100000000"}], "preferences": [["a"]]}',
+            r"projects\[0\].upper: not a rational number: '1e100000000'",
+        ),
+        (
             '{"projects": [{"name": "a"}], "preferences": [[1]]}',
             r"preferences\[0\]",
         ),
@@ -115,8 +120,11 @@ def test_parse_market_defaults_and_null_upper():
     ],
 )
 def test_parse_market_diagnostics(text, message):
+    start = time.perf_counter()
     with pytest.raises(MarketError, match=message):
         parse_market(text)
+    # an exponent such as 1e100000000 must fail before any 10**exp is built
+    assert time.perf_counter() - start < 0.5
 
 
 def test_assignment_round_trip():
@@ -152,6 +160,30 @@ def test_trace_round_trip():
     market = market_lower_quotas()
     _, trace = run_pslq_traced(market)
     assert parse_trace(serialize_trace(trace, market), market) == trace
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["phases"][0].update(active=5), r"^phases\[0\]\.active: must be"),
+        (lambda doc: doc["phases"][0].update(pattern=[["a"]]), r"^phases\[0\]\.pattern: must be"),
+        (lambda doc: doc["phases"][-1].update(closed="ab"), r"^phases\[\d+\]\.closed: must be"),
+        (
+            lambda doc: doc["phases"][0].update(active=["zz"]),
+            r"^phases\[0\]: missing or unknown 'zz'",
+        ),
+        (lambda doc: doc["phases"][0].pop("event"), r"^phases\[0\]: missing or unknown 'event'"),
+        (lambda doc: doc.update(critical_time="x"), r"^critical_time: not a rational number"),
+        (lambda doc: doc.update(critical_time=[1]), r"^critical_time: not a rational number"),
+    ],
+)
+def test_trace_diagnostics_name_the_field(edit, message):
+    market = market_lower_quotas()
+    _, trace = run_pslq_traced(market)
+    doc = json.loads(serialize_trace(trace, market))
+    edit(doc)
+    with pytest.raises(MarketError, match=message):
+        parse_trace(json.dumps(doc), market)
 
 
 def test_render_table():

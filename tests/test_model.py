@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,11 @@ def test_as_rational_rejects_garbage():
         as_rational("1/0")
     with pytest.raises(MarketError):
         as_rational(None)
+    # an exponent would make Fraction build 10**100000000 first
+    start = time.perf_counter()
+    with pytest.raises(MarketError, match="not a rational number"):
+        as_rational("1e100000000")
+    assert time.perf_counter() - start < 0.5
     # bool is an int subclass, but a JSON true/false is no quota or entry
     for flag in (True, False):
         with pytest.raises(MarketError):
