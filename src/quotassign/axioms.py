@@ -16,8 +16,10 @@ every touched student strictly prefers, returned as an ImprovementWitness.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 from typing import Optional, Sequence
 
 from .model import (
@@ -61,17 +63,56 @@ def sd_dominates(x: Sequence, y: Sequence, pref: Sequence[int], strict: bool = F
     return True
 
 
+def _first_envy(R: Matrix, prefs: Sequence[Sequence[int]], envies) -> tuple:
+    """The first student i, and the smallest j, with envies(own, other) on the
+    prefix sums of i's row and j's under i's ranking; or (True, None).
+
+    Each distinct row of R is kept once, with the first student holding it,
+    in first-index order, and scaled to ints over the rows' common
+    denominator. Every student is compared against those rows only, so the
+    first row that fails names the smallest j; `own` is the very object
+    among the prefix-sum lists when the rows are equal.
+    """
+    if not R:
+        return True, None
+    index, firsts, held = {}, [], []
+    for i, row in enumerate(R):
+        key = tuple(row)
+        if key not in index:
+            index[key] = len(firsts)
+            firsts.append(i)
+        held.append(index[key])
+    common = math.lcm(*{v.denominator for row in index for v in row})
+    scaled = [[v.numerator * (common // v.denominator) for v in row] for row in index]
+    lengths = sorted({len(row) for row in scaled})
+    for i, ranking in enumerate(prefs):
+        if lengths != [len(ranking)]:
+            raise ValueError(
+                f"rows of length {lengths} under a ranking of {len(ranking)} projects"
+            )
+        prefixes = [list(accumulate(map(row.__getitem__, ranking))) for row in scaled]
+        own = prefixes[held[i]]
+        for j, other in zip(firsts, prefixes):
+            if envies(own, other):
+                return False, (i, j)
+    return True, None
+
+
+def _falls_short(own: list, other: list) -> bool:
+    return any(map(operator.lt, own, other))
+
+
+def _strictly_dominated(own: list, other: list) -> bool:
+    return other is not own and not any(map(operator.lt, other, own))
+
+
 def is_envy_free(R: Matrix, prefs: Sequence[Sequence[int]]) -> tuple:
     """Every student's row sd-dominates every other row under her own ranking.
 
     Returns (True, None) or (False, (i, j)) for the first pair where student
     i's row fails to dominate student j's.
     """
-    for i, ranking in enumerate(prefs):
-        for j in range(len(R)):
-            if i != j and not sd_dominates(R[i], R[j], ranking):
-                return False, (i, j)
-    return True, None
+    return _first_envy(R, prefs, _falls_short)
 
 
 def is_weakly_envy_free(R: Matrix, prefs: Sequence[Sequence[int]]) -> tuple:
@@ -80,25 +121,37 @@ def is_weakly_envy_free(R: Matrix, prefs: Sequence[Sequence[int]]) -> tuple:
     Returns (True, None) or (False, (i, j)) where row j strictly dominates
     row i under student i's ranking.
     """
-    for i, ranking in enumerate(prefs):
-        for j in range(len(R)):
-            if i != j and sd_dominates(R[j], R[i], ranking, strict=True):
-                return False, (i, j)
-    return True, None
+    return _first_envy(R, prefs, _strictly_dominated)
 
 
 def tau_graph(R: Matrix, prefs: Sequence[Sequence[int]]) -> dict:
     """Directed edges {(p, q): witness student} with p preferred to q by the
-    witness while the witness holds positive probability of q."""
-    k = len(R[0]) if R else 0
+    witness while the witness holds positive probability of q.
+
+    Each project keeps its tau predecessors as a bitmask, so a student adds
+    every new edge into a held project in one step, walking their ranking
+    only down to their last held project; the first student to add an edge
+    is its witness.
+    """
+    columns = range(len(R[0]) if R else 0)
+    pred = [0] * len(columns)
     edges = {}
     for i, ranking in enumerate(prefs):
-        position = {p: pos for pos, p in enumerate(ranking)}
-        for q in range(k):
-            if R[i][q] > 0:
-                for p in range(k):
-                    if p != q and position[p] < position[q] and (p, q) not in edges:
-                        edges[(p, q)] = i
+        row = R[i]
+        held = {q for q in compress(columns, row) if row[q] > 0}
+        above = 0
+        for q in ranking:
+            if q in held:
+                new = above & ~pred[q]
+                pred[q] |= new
+                while new:
+                    low = new & -new
+                    edges[(low.bit_length() - 1, q)] = i
+                    new ^= low
+                held.discard(q)
+                if not held:
+                    break
+            above |= 1 << q
     return edges
 
 
@@ -245,14 +298,19 @@ def _witness(kind: str, R: Matrix, projects, students, slack=()) -> ImprovementW
 
 def _verify_witness(witness: ImprovementWitness, R: Matrix, prefs, market) -> None:
     """Raise InternalError unless the witness is a feasible improvement of R
-    that every touched student strictly prefers."""
+    that every touched student strictly prefers. Every other row must be
+    R's own row object, so only the touched rows need comparing."""
     if witness.delta <= 0:
         raise InternalError(f"{witness.kind} witness shifts a nonpositive amount")
+    touched = set(witness.students)
+    if len(witness.improved) != len(R) or any(
+        row is not R[i] for i, row in enumerate(witness.improved) if i not in touched
+    ):
+        raise InternalError(f"{witness.kind} witness changes a student it does not name")
     if feasibility_violations(witness.improved, market) or witness.improved == R:
         raise InternalError(f"{witness.kind} witness is not a feasible change of R")
-    touched = set(witness.students)
-    for i, ranking in enumerate(prefs):
-        if not sd_dominates(witness.improved[i], R[i], ranking, strict=i in touched):
+    for i in sorted(touched):
+        if not sd_dominates(witness.improved[i], R[i], prefs[i], strict=True):
             raise InternalError(
                 f"{witness.kind} witness does not improve student {i + 1}"
             )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .model import InternalError, Market, Matrix, column_sums, feasibility_violations
 
@@ -30,20 +31,34 @@ class Lottery:
             raise ValueError("lottery weights must be positive")
         if sum(weight for weight, _ in self.terms) != 1:
             raise ValueError("lottery weights must sum to exactly 1")
+        shapes = {(len(matrix), *map(len, matrix)) for _, matrix in self.terms}
+        if len(shapes) != 1:
+            raise ValueError("lottery terms must all have the same shape")
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def expectation(self) -> Matrix:
-        """Weighted sum of the term matrices, exact."""
+        """Weighted sum of the term matrices, exact.
+
+        Only nonzero entries are visited. Every product weight × entry is an
+        int over one common denominator (the lcm of the weights' times the
+        lcm of the entries'), so the sums are ints until the end.
+        """
         rows = len(self.terms[0][1])
         cols = len(self.terms[0][1][0])
-        total = [[Fraction(0)] * cols for _ in range(rows)]
-        for weight, assignment in self.terms:
-            for i in range(rows):
-                for p in range(cols):
-                    total[i][p] += weight * assignment[i][p]
-        return tuple(tuple(row) for row in total)
+        weight_scale = math.lcm(*{weight.denominator for weight, _ in self.terms})
+        nonzero = (v for _, matrix in self.terms for row in matrix for v in compress(row, row))
+        entry_scale = math.lcm(*{v.denominator for v in nonzero})
+        total = [[0] * cols for _ in range(rows)]
+        for weight, matrix in self.terms:
+            w = weight.numerator * (weight_scale // weight.denominator)
+            for out, row in zip(total, matrix):
+                for p in compress(range(cols), row):
+                    v = row[p]
+                    out[p] += w * v.numerator * (entry_scale // v.denominator)
+        scale = weight_scale * entry_scale
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in total)
 
 
 class _FlowNetwork:

@@ -51,6 +51,7 @@ from .model import InternalError, Market, Matrix, choice, column_sums
 EXHAUSTION = "exhaustion"
 CRITICAL_SHIFT = "critical-shift"
 EPOCH_END = "epoch-end"
+PHASE_EVENTS = (EXHAUSTION, CRITICAL_SHIFT, EPOCH_END)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .decompose import Lottery
-from .eating import CRITICAL_SHIFT, EatingPhase, EatingTrace, run_pslq_traced
+from .eating import CRITICAL_SHIFT, PHASE_EVENTS, EatingPhase, EatingTrace, run_pslq_traced
 from .model import Market, MarketError, Matrix, as_rational, format_rational
 
 RENDER_FORMATS = ("table", "json", "csv")
@@ -131,9 +131,14 @@ def parse_lottery(text: str, market: Market) -> Lottery:
 
 
 def parse_trace(text: str, market: Market) -> EatingTrace:
+    """Read an eating trace: phases that tile [0, 1] in order, each of
+    positive length, ended by one of the three event kinds and with one
+    project per student in its pattern."""
     doc = _load_document(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("phases"), list):
         raise MarketError('expected a "phases" array')
+    if not doc["phases"]:
+        raise MarketError("phases: must tile [0, 1], got no phase")
     critical = doc.get("critical_time")
     phases = []
     for idx, phase in enumerate(doc["phases"]):
@@ -145,16 +150,23 @@ def parse_trace(text: str, market: Market) -> EatingTrace:
                 key: tuple(market.index[name] for name in _names(phase[key], f"{field}.{key}"))
                 for key in ("active", "pattern", "closed")
             }
-            phases.append(
-                EatingPhase(
-                    start=_rational_field(phase["start"], f"{field}.start"),
-                    end=_rational_field(phase["end"], f"{field}.end"),
-                    event=phase["event"],
-                    **projects,
-                )
-            )
+            start = _rational_field(phase["start"], f"{field}.start")
+            end = _rational_field(phase["end"], f"{field}.end")
+            event = phase["event"]
         except KeyError as exc:
             raise MarketError(f"{field}: missing or unknown {exc}") from None
+        if event not in PHASE_EVENTS:
+            raise MarketError(f"{field}.event: must be one of {', '.join(PHASE_EVENTS)}")
+        previous_end = phases[-1].end if phases else 0
+        if start != previous_end:
+            raise MarketError(f"{field}.start: must equal the previous end, {previous_end}")
+        if not start < end <= 1:
+            raise MarketError(f"{field}.end: must be after its start and at most 1")
+        if len(projects["pattern"]) != market.n:
+            raise MarketError(f"{field}.pattern: must name one project per student")
+        phases.append(EatingPhase(start=start, end=end, event=event, **projects))
+    if phases[-1].end != 1:
+        raise MarketError(f"phases[{len(phases) - 1}].end: the last phase must end at 1")
     return EatingTrace(
         phases=tuple(phases),
         critical_time=None if critical is None else _rational_field(critical, "critical_time"),

@@ -6,6 +6,10 @@ than tautology. The two exceptions are `pslq_by_full_matrix`, the earlier
 full-matrix eating loop, which reuses the package's phase-event rule, and
 `decompose_by_renormalising`, the earlier peel loop, which reuses the
 package's public `extract_extreme_point` (see their docstrings).
+
+The envy audits, `tau_graph` and `Lottery.expectation` are checked against
+their earlier loops: every row pair in Fractions, every (student, held
+project, other project) triple, and a dense multiply-add per term.
 """
 
 import itertools
@@ -306,3 +310,61 @@ def decompose_by_renormalising(assignment, market: Market):
         )
         weight *= scale
     return Lottery(tuple(terms))
+
+
+def _sd_dominates(x, y, ranking, strict=False):
+    """Every prefix sum of x in ranking order is at least y's (and, when
+    strict, x != y), in Fractions."""
+    total_x = total_y = Fraction(0)
+    for p in ranking:
+        total_x += x[p]
+        total_y += y[p]
+        if total_x < total_y:
+            return False
+    return tuple(x) != tuple(y) if strict else True
+
+
+def envy_free_by_pairs(R, prefs):
+    """The earlier `is_envy_free`: every ordered pair of students."""
+    for i, ranking in enumerate(prefs):
+        for j in range(len(R)):
+            if i != j and not _sd_dominates(R[i], R[j], ranking):
+                return False, (i, j)
+    return True, None
+
+
+def weakly_envy_free_by_pairs(R, prefs):
+    """The earlier `is_weakly_envy_free`: every ordered pair of students."""
+    for i, ranking in enumerate(prefs):
+        for j in range(len(R)):
+            if i != j and _sd_dominates(R[j], R[i], ranking, strict=True):
+                return False, (i, j)
+    return True, None
+
+
+def tau_graph_by_triples(R, prefs):
+    """The earlier `tau_graph`: one dict test per (student, held project,
+    other project) triple, the first student to certify an edge its witness."""
+    k = len(R[0]) if R else 0
+    edges = {}
+    for i, ranking in enumerate(prefs):
+        position = {p: pos for pos, p in enumerate(ranking)}
+        for q in range(k):
+            if R[i][q] > 0:
+                for p in range(k):
+                    if p != q and position[p] < position[q] and (p, q) not in edges:
+                        edges[(p, q)] = i
+    return edges
+
+
+def expectation_by_dense_sum(lottery):
+    """The earlier `Lottery.expectation`: a dense n x k multiply-add in
+    Fractions per term."""
+    rows = len(lottery.terms[0][1])
+    cols = len(lottery.terms[0][1][0])
+    total = [[Fraction(0)] * cols for _ in range(rows)]
+    for weight, assignment in lottery.terms:
+        for i in range(rows):
+            for p in range(cols):
+                total[i][p] += weight * assignment[i][p]
+    return tuple(tuple(row) for row in total)

@@ -375,6 +375,19 @@ def test_bogus_witness_is_rejected_under_any_optimization_level():
             _verify_witness(spoiled, CHAIN_MATRIX, m.prefs, m)
 
 
+def test_witness_must_keep_every_untouched_row_object():
+    # students 1 and 2 swap a and b; student 3 is untouched
+    prefs = [["a", "b", "c"], ["b", "a", "c"], ["c", "a", "b"]]
+    m = Market(["a", "b", "c"], [0] * 3, [None] * 3, prefs)
+    R = mat("0 1 0", "1 0 0", "0 0 1")
+    _, witness = is_ordinally_efficient(R, m)
+    assert witness.students == (0, 1) and witness.improved[2] is R[2]
+    copied = witness.improved[:2] + (tuple(list(R[2])),)  # equal values, new object
+    for spoiled in (copied, witness.improved[:2], witness.improved + (R[2],)):
+        with pytest.raises(InternalError, match="changes a student it does not name"):
+            _verify_witness(dataclasses.replace(witness, improved=spoiled), R, m.prefs, m)
+
+
 def test_efficiency_check_builds_the_tau_graph_once(monkeypatch):
     import quotassign.axioms as axioms
 

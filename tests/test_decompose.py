@@ -154,6 +154,9 @@ def test_lottery_validates_weights():
         Lottery(((Fraction(0), term), (Fraction(1), term)))
     with pytest.raises(ValueError, match="term"):
         Lottery(())
+    for other in (mat("1 0"), mat("1 0", "0 1", "1 0"), mat("1 0", "0 1 0")):
+        with pytest.raises(ValueError, match="same shape"):
+            Lottery(((Fraction(1, 2), term), (Fraction(1, 2), other)))
 
 
 def test_decompose_random_eating_outputs(rng):

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from quotassign.decompose import decompose
 from quotassign.eating import CRITICAL_SHIFT, run_pslq_traced
@@ -30,6 +31,7 @@ from goldens import (
     market_lower_quotas,
     market_thirds,
 )
+from test_eating_oracle import eating_markets
 
 
 def test_market_round_trip():
@@ -162,6 +164,13 @@ def test_trace_round_trip():
     assert parse_trace(serialize_trace(trace, market), market) == trace
 
 
+@settings(max_examples=100, deadline=None)
+@given(market=eating_markets)
+def test_every_pslq_trace_passes_validation(market):
+    _, trace = run_pslq_traced(market)
+    assert parse_trace(serialize_trace(trace, market), market) == trace
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -175,6 +184,16 @@ def test_trace_round_trip():
         (lambda doc: doc["phases"][0].pop("event"), r"^phases\[0\]: missing or unknown 'event'"),
         (lambda doc: doc.update(critical_time="x"), r"^critical_time: not a rational number"),
         (lambda doc: doc.update(critical_time=[1]), r"^critical_time: not a rational number"),
+        # what the fields say: event kinds, phases tiling [0, 1], one project per student
+        (lambda doc: doc["phases"][0].update(event=5), r"^phases\[0\]\.event: must be one of"),
+        (lambda doc: doc["phases"][0].update(event="exhausted"), r"^phases\[0\]\.event: must be"),
+        (lambda doc: doc["phases"][0].update(start="1/8"), r"^phases\[0\]\.start: must equal"),
+        (lambda doc: doc["phases"][1].update(start="7"), r"^phases\[1\]\.start: must equal"),
+        (lambda doc: doc["phases"][0].update(end="0"), r"^phases\[0\]\.end: must be after"),
+        (lambda doc: doc["phases"][-1].update(end="2"), r"^phases\[\d+\]\.end: must be after"),
+        (lambda doc: doc["phases"].pop(), r"^phases\[\d+\]\.end: the last phase must end at 1"),
+        (lambda doc: doc["phases"].clear(), r"^phases: must tile \[0, 1\]"),
+        (lambda doc: doc["phases"][0]["pattern"].pop(), r"^phases\[0\]\.pattern: must name one"),
     ],
 )
 def test_trace_diagnostics_name_the_field(edit, message):
