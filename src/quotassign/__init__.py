@@ -27,11 +27,7 @@ from .eating import (
     EPOCH_END,
     EXHAUSTION,
     EatingPhase,
-    EatingState,
     EatingTrace,
-    active_projects,
-    initial_state,
-    next_event,
     run_pslq,
     run_pslq_traced,
 )
@@ -55,7 +51,6 @@ from .model import (
     MarketError,
     as_rational,
     assigned_project,
-    choice,
     column_sums,
     feasibility_violations,
     format_rational,

@@ -30,6 +30,7 @@ from .model import (
     column_sums,
     feasibility_violations,
     is_integral,
+    validate_permutation,
 )
 
 TAU_CYCLE = "tau-cycle"
@@ -363,9 +364,12 @@ def is_ml_fair(mu: Matrix, prefs: Sequence[Sequence[int]], master_list: Sequence
 
     `master_list` orders students from highest to lowest priority. Returns
     (True, None) or (False, (i, j)) where i precedes j yet prefers j's
-    project to her own.
+    project to their own. Raises ValueError unless prefs has one ranking per
+    row of mu and master_list is a permutation of the students.
     """
-    position = {student: pos for pos, student in enumerate(master_list)}
+    if len(prefs) != len(mu):
+        raise ValueError(f"{len(prefs)} rankings for {len(mu)} students")
+    position = {s: pos for pos, s in enumerate(validate_permutation(master_list, len(mu)))}
     assigned = [assigned_project(row) for row in mu]
     for i, ranking in enumerate(prefs):
         rank = {p: pos for pos, p in enumerate(ranking)}

@@ -45,23 +45,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import InternalError, Market, Matrix, choice, column_sums
+from .model import InternalError, Market, Matrix
 
 #: phase-ending event kinds
 EXHAUSTION = "exhaustion"
 CRITICAL_SHIFT = "critical-shift"
 EPOCH_END = "epoch-end"
 PHASE_EVENTS = (EXHAUSTION, CRITICAL_SHIFT, EPOCH_END)
-
-
-@dataclass(frozen=True)
-class EatingState:
-    """Snapshot of an eating run: time, consumption, active set, pattern."""
-
-    t: Fraction
-    rows: Matrix  # n x k consumption so far
-    active: frozenset
-    pattern: tuple  # pattern[i] = project student i is eating
 
 
 @dataclass(frozen=True)
@@ -102,11 +92,6 @@ def _active_set(t: Fraction, omega: Sequence[Fraction], market: Market) -> froze
         elif omega[p] < market.upper[p] and reserve_open:
             active.add(p)
     return frozenset(active)
-
-
-def active_projects(state: EatingState, market: Market) -> frozenset:
-    """The set of projects legally consumable at the state's time."""
-    return _active_set(state.t, column_sums(state.rows), market)
 
 
 def _critical_event(
@@ -156,10 +141,14 @@ def _end_phase(
     t: Fraction, omega: list, counts: Sequence[int], active: frozenset, market: Market
 ) -> tuple:
     """When and how the phase starting at t ends, given the eaten masses
-    omega and the number of students eating each project.
-
-    Returns (t_next, kind, closing) as next_event does, and advances omega
+    omega and the number of students eating each project; advances omega
     in place to t_next.
+
+    Returns (t_next, kind, closing): the exact event time, its kind
+    (EXHAUSTION, CRITICAL_SHIFT, or EPOCH_END when the run simply reaches
+    t = 1), and the frozenset of projects leaving the active set. At an
+    exhaustion time equal to the critical time, the critical shift takes
+    precedence; its closing rule removes exhausted projects as well.
     """
     exhaust_t = None
     for p in active:
@@ -190,29 +179,6 @@ def _end_phase(
     else:
         closing = frozenset(active)
     return t_next, kind, closing
-
-
-def next_event(state: EatingState, market: Market) -> tuple:
-    """When and how the current phase ends.
-
-    Returns (t_next, kind, closing): the exact event time, its kind
-    (EXHAUSTION, CRITICAL_SHIFT, or EPOCH_END when the run simply reaches
-    t = 1), and the frozenset of projects leaving the active set. At an
-    exhaustion time equal to the critical time, the critical shift takes
-    precedence; its closing rule removes exhausted projects as well.
-    """
-    counts = [0] * market.k
-    for p in state.pattern:
-        counts[p] += 1
-    return _end_phase(state.t, list(column_sums(state.rows)), counts, state.active, market)
-
-
-def initial_state(market: Market) -> EatingState:
-    """The eating state at t = 0: nothing consumed, best active projects chosen."""
-    rows = tuple((Fraction(0),) * market.k for _ in range(market.n))
-    active = _active_set(Fraction(0), [Fraction(0)] * market.k, market)
-    pattern = tuple(choice(market.prefs, i, active) for i in range(market.n))
-    return EatingState(t=Fraction(0), rows=rows, active=active, pattern=pattern)
 
 
 def run_pslq_traced(market: Market) -> tuple:

@@ -101,10 +101,6 @@ class Market:
         self.prefs: tuple = tuple(
             self._coerce_ranking(ranking, student) for student, ranking in enumerate(preferences)
         )
-        # rank[i][p] = position of project p in student i's ranking (0 = best)
-        self.rank: tuple = tuple(
-            tuple(ranking.index(p) for p in range(self.k)) for ranking in self.prefs
-        )
 
         if len(lower) != self.k or len(upper) != self.k:
             raise MarketError("quota vectors must have one entry per project")
@@ -137,7 +133,7 @@ class Market:
     def _coerce_ranking(self, ranking, student: int) -> tuple:
         out = []
         for entry in ranking:
-            if isinstance(entry, int):
+            if isinstance(entry, int) and not isinstance(entry, bool):
                 if not 0 <= entry < self.k:
                     raise MarketError(f"student {student + 1}: project index {entry} out of range")
                 out.append(entry)
@@ -175,24 +171,6 @@ class Market:
 
     def __repr__(self):
         return f"Market(n={self.n}, projects={list(self.projects)})"
-
-
-def choice(prefs: Sequence[Sequence[int]], student: int, menu: Iterable[int]) -> int:
-    """The student's most preferred project within a menu.
-
-    Parameters
-    ----------
-    prefs : per-student rankings of project indices, best first
-    student : 0-based student index
-    menu : iterable of project indices (nonempty)
-    """
-    menu = set(menu)
-    if not menu:
-        raise ValueError("empty menu")
-    for p in prefs[student]:
-        if p in menu:
-            return p
-    raise ValueError("menu contains no known project")
 
 
 def matrix(rows: Iterable[Iterable[RationalLike]]) -> Matrix:

@@ -3,9 +3,11 @@
 Deliberately written from the definitions, sharing no code with the package
 internals beyond the Market container, so that agreement is evidence rather
 than tautology. The two exceptions are `pslq_by_full_matrix`, the earlier
-full-matrix eating loop, which reuses the package's phase-event rule, and
+full-matrix eating loop, which reuses the package's private active-set and
+phase-event rule (`_active_set`, `_end_phase`), and
 `decompose_by_renormalising`, the earlier peel loop, which reuses the
-package's public `extract_extreme_point` (see their docstrings).
+package's public `extract_extreme_point` (see their docstrings). `choice`,
+a student's best project within a menu, is the oracles' own.
 
 The envy audits, `tau_graph` and `Lottery.expectation` are checked against
 their earlier loops: every row pair in Fractions, every (student, held
@@ -16,17 +18,20 @@ import itertools
 import math
 from fractions import Fraction
 
-from quotassign.eating import (
-    CRITICAL_SHIFT,
-    EatingPhase,
-    EatingState,
-    EatingTrace,
-    active_projects,
-    initial_state,
-    next_event,
-)
+from quotassign.eating import CRITICAL_SHIFT, EatingPhase, EatingTrace, _active_set, _end_phase
 from quotassign.decompose import Lottery, extract_extreme_point
-from quotassign.model import InternalError, Market, choice, column_sums
+from quotassign.model import InternalError, Market, column_sums
+
+
+def choice(prefs, student: int, menu) -> int:
+    """The student's most preferred project within a nonempty menu."""
+    menu = set(menu)
+    if not menu:
+        raise ValueError("empty menu")
+    for p in prefs[student]:
+        if p in menu:
+            return p
+    raise ValueError("menu contains no known project")
 
 
 def classical_ps(market: Market):
@@ -129,30 +134,34 @@ def pareto_by_enumeration(mu, market: Market):
 def pslq_by_full_matrix(market: Market):
     """PSLQ with the whole n x k consumption matrix as its state.
 
-    Every phase sums the matrix's columns for the event (`next_event`),
-    adds the phase to every row, recomputes the active set from the matrix
-    and lets every student choose again. It shares the phase-event rule
-    with the package on purpose: agreement with `run_pslq_traced` checks
-    the k-vector bookkeeping (eaten masses, per-student start times, only
-    the eaters of closed projects moving). The rule itself is checked
-    against `discrete_eating` and `classical_ps`. Returns
-    (assignment, trace).
+    Every phase sums the matrix's columns and counts each project's eaters
+    for the event (the package's private `_end_phase`), adds the phase to
+    every row, recomputes the active set from the matrix's column sums
+    (`_active_set`) and lets every student choose again. It shares the
+    phase-event rule with the package on purpose: agreement with
+    `run_pslq_traced` checks the k-vector bookkeeping (eaten masses,
+    per-student start times, only the eaters of closed projects moving).
+    The rule itself is checked against `discrete_eating` and
+    `classical_ps`. Returns (assignment, trace).
     """
-    state = initial_state(market)
-    rows = [list(row) for row in state.rows]
+    n, k = market.n, market.k
+    rows = [[Fraction(0)] * k for _ in range(n)]
+    t = Fraction(0)
+    active = _active_set(t, [Fraction(0)] * k, market)
     phases = []
     critical_time = None
-    while state.t < 1:
-        t_next, kind, closing = next_event(state, market)
-        duration = t_next - state.t
-        for i, p in enumerate(state.pattern):
-            rows[i][p] += duration
+    while t < 1:
+        pattern = tuple(choice(market.prefs, i, active) for i in range(n))
+        counts = [pattern.count(p) for p in range(k)]
+        t_next, kind, closing = _end_phase(t, list(column_sums(rows)), counts, active, market)
+        for i, p in enumerate(pattern):
+            rows[i][p] += t_next - t
         phases.append(
             EatingPhase(
-                start=state.t,
+                start=t,
                 end=t_next,
-                active=tuple(sorted(state.active)),
-                pattern=state.pattern,
+                active=tuple(sorted(active)),
+                pattern=pattern,
                 event=kind,
                 closed=tuple(sorted(closing)),
             )
@@ -161,12 +170,11 @@ def pslq_by_full_matrix(market: Market):
             critical_time = t_next
         if t_next == 1:
             break
-        frozen_rows = tuple(tuple(row) for row in rows)
-        active = active_projects(EatingState(t_next, frozen_rows, frozenset(), ()), market)
-        if not active < state.active:
+        still_active = _active_set(t_next, column_sums(rows), market)
+        if not still_active < active:
             raise InternalError(f"eating event at t={t_next} closed no project")
-        pattern = tuple(choice(market.prefs, i, active) for i in range(market.n))
-        state = EatingState(t=t_next, rows=frozen_rows, active=active, pattern=pattern)
+        active = still_active
+        t = t_next
     assignment = tuple(tuple(row) for row in rows)
     return assignment, EatingTrace(phases=tuple(phases), critical_time=critical_time)
 

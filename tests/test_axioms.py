@@ -304,6 +304,30 @@ def test_ml_fairness_single_student():
     assert is_ml_fair(mat("1"), ((0,),), [0]) == (True, None)
 
 
+@pytest.mark.parametrize(
+    "master_list",
+    [
+        [0, 1],  # a student missing: only a partial order
+        [0, 1, 1],  # a repeated entry would overwrite a position
+        [0, 1, 3],  # a student out of range
+        [0, 1, 2, 3],  # one entry too many
+    ],
+)
+def test_ml_fairness_rejects_a_master_list_that_is_not_a_permutation(master_list):
+    prefs = ((0, 1, 2),) * 3
+    mu = mat("0 0 1", "0 1 0", "1 0 0")
+    with pytest.raises(ValueError, match="not a permutation"):
+        is_ml_fair(mu, prefs, master_list)
+
+
+def test_ml_fairness_rejects_a_ranking_count_unlike_the_rows():
+    mu = mat("0 1", "1 0")
+    with pytest.raises(ValueError, match="3 rankings for 2 students"):
+        is_ml_fair(mu, ((0, 1),) * 3, [0, 1])
+    with pytest.raises(ValueError, match="1 rankings for 2 students"):
+        is_ml_fair(mu, ((0, 1),), [0, 1])
+
+
 def test_mqc_efficiency_of_priority_runs():
     m = market_lower_quotas()
     for order in itertools.permutations(range(4)):

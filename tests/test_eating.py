@@ -7,10 +7,7 @@ from quotassign.eating import (
     CRITICAL_SHIFT,
     EPOCH_END,
     EXHAUSTION,
-    EatingState,
-    active_projects,
-    initial_state,
-    next_event,
+    _active_set,
     run_pslq,
     run_pslq_traced,
 )
@@ -109,36 +106,36 @@ def test_thirds_misreport_trace_is_exhaustion_only():
     assert trace.phases[1].closed == (2,)
 
 
-def test_active_projects_around_shift():
+def test_active_set_around_shift():
     m = market_lower_quotas()
     # all active at t = 0
-    assert active_projects(initial_state(m), m) == frozenset({0, 1, 2})
+    assert _active_set(Fraction(0), [Fraction(0)] * 3, m) == frozenset({0, 1, 2})
     # just below the shift everyone can still eat a
     t = Fraction(499, 1000)
     rows = mat(*[f"{t} 0 0", f"{t} 0 0", f"0 {t} 0", f"0 {t} 0"])
-    state = EatingState(t=t, rows=rows, active=frozenset({0, 1, 2}), pattern=(0, 0, 1, 1))
-    assert active_projects(state, m) == frozenset({0, 1, 2})
+    assert _active_set(t, column_sums(rows), m) == frozenset({0, 1, 2})
     # at the shift time a drops out
     t = Fraction(1, 2)
     rows = mat("1/2 0 0", "1/2 0 0", "0 1/2 0", "0 1/2 0")
-    state = EatingState(t=t, rows=rows, active=frozenset({0, 1, 2}), pattern=(0, 0, 1, 1))
-    assert active_projects(state, m) == frozenset({1, 2})
+    assert _active_set(t, column_sums(rows), m) == frozenset({1, 2})
 
 
-def test_next_event_five_students():
-    m = market_five()
-    t_next, kind, closing = next_event(initial_state(m), m)
-    assert t_next == Fraction(3, 4)
-    assert kind == CRITICAL_SHIFT
-    assert closing == frozenset({0, 1})
+def test_first_phase_five_students():
+    _, trace = run_pslq_traced(market_five())
+    first = trace.phases[0]
+    assert first.end == Fraction(3, 4)
+    assert first.event == CRITICAL_SHIFT
+    assert first.closed == (0, 1)
 
 
-def test_next_event_opposed_tops_exhaust_at_one():
+def test_opposed_tops_exhaust_at_one():
     m = Market(["a", "b"], [0, 0], [1, 1], [["a", "b"], ["b", "a"]])
-    t_next, kind, closing = next_event(initial_state(m), m)
-    assert t_next == 1
-    assert kind == EXHAUSTION
-    assert closing == frozenset({0, 1})
+    _, trace = run_pslq_traced(m)
+    assert len(trace.phases) == 1
+    only = trace.phases[0]
+    assert only.end == 1
+    assert only.event == EXHAUSTION
+    assert only.closed == (0, 1)
 
 
 def test_trace_replay_and_reserve():

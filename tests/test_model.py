@@ -7,7 +7,6 @@ from quotassign.model import (
     Market,
     MarketError,
     as_rational,
-    choice,
     column_sums,
     feasibility_violations,
     format_rational,
@@ -82,26 +81,18 @@ def test_market_rejects_bad_rankings():
         Market(["a", "b"], [0, 0], [None, None], [["a"]])
 
 
+def test_market_rejects_bools_as_project_indices():
+    # True == 1 and False == 0, but a bool is not an index
+    with pytest.raises(MarketError, match="student 1: unknown project True"):
+        Market(["a", "b"], [0, 0], [None, None], [[True, False], [False, True]])
+    with pytest.raises(MarketError, match="student 2: unknown project False"):
+        Market(["a", "b"], [0, 0], [None, None], [[0, 1], [1, False]])
+
+
 def test_integer_quota_detection():
     assert market_lower_quotas().has_integer_quotas()
     m = Market(["a", "b"], [0, "1/2"], [None, None], [["a", "b"], ["b", "a"]])
     assert not m.has_integer_quotas()
-
-
-def test_choice_picks_best_in_menu():
-    five = market_five()
-    # student 5 ranks c first
-    assert choice(five.prefs, 4, {0, 1, 2}) == 2
-    # singleton menu is forced
-    assert choice(five.prefs, 0, {1}) == 1
-    # student 2 of the quota market ranks a > c > b
-    lq = market_lower_quotas()
-    assert choice(lq.prefs, 1, {1, 2}) == 2
-
-
-def test_choice_empty_menu():
-    with pytest.raises(ValueError, match="empty menu"):
-        choice(market_five().prefs, 0, set())
 
 
 def test_feasibility_golden_matrices():
@@ -167,4 +158,39 @@ def test_package_exports_names_not_submodules():
     for name in quotassign.__all__:
         assert not isinstance(getattr(quotassign, name), types.ModuleType), name
     assert {"axioms", "model", "strategy"}.isdisjoint(quotassign.__all__)
-    assert {"Market", "run_pslq", "is_mqc_efficient"} <= set(quotassign.__all__)
+
+
+def test_public_api_is_pinned():
+    # any change to the package's surface has to edit this set on purpose
+    import quotassign
+
+    assert set(quotassign.__all__) == {
+        # model
+        "InternalError", "Market", "MarketError", "as_rational", "assigned_project",
+        "column_sums", "feasibility_violations", "format_rational", "is_feasible",
+        "is_integral", "matrix",
+        # eating
+        "CRITICAL_SHIFT", "EPOCH_END", "EXHAUSTION", "EatingPhase", "EatingTrace",
+        "run_pslq", "run_pslq_traced",
+        # priority
+        "EXACT_ENUMERATION_LIMIT", "RplqResult", "clone_market", "run_priolq",
+        "run_rplq_exact", "run_rplq_sampled",
+        # axioms
+        "ImprovementWitness", "TAU_CYCLE", "WASTEFUL_CHAIN", "find_tau_cycle",
+        "find_wasteful_chain", "is_envy_free", "is_ml_fair", "is_mqc_efficient",
+        "is_ordinally_efficient", "is_weakly_envy_free", "sd_dominates", "tau_graph",
+        # decompose
+        "Lottery", "decompose", "extract_extreme_point",
+        # marketio
+        "GeneratorConfig", "decimal_string", "generate_market", "parse_assignment",
+        "parse_lottery", "parse_market", "parse_trace", "render", "serialize_assignment",
+        "serialize_lottery", "serialize_market", "serialize_trace",
+        # strategy
+        "INCOMPARABLE_CHANGE", "MECHANISMS", "NO_CHANGE", "STRICT_GAIN",
+        "ImpossibilityReport", "ManipulationReport", "impossibility_scenario",
+        "misreport_outcomes", "search_manipulation", "verify_weak_sp",
+    }
+    # the matrix-state eating step API, the unused menu pick and the rank table left
+    gone = {"EatingState", "initial_state", "next_event", "active_projects", "choice"}
+    assert gone.isdisjoint(dir(quotassign))
+    assert not hasattr(quotassign.Market(["a"], [0], [None], [["a"]]), "rank")

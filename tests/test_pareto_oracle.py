@@ -36,6 +36,6 @@ def test_pareto_verdict_equals_enumeration(data, market):
     assert ok == pareto_by_enumeration(mu, market)[0]
     if not ok:
         assert is_integral(dominating) and is_feasible(dominating, market)
-        before = [market.rank[i][p] for i, p in enumerate(picks)]
-        after = [market.rank[i][row.index(1)] for i, row in enumerate(dominating)]
+        before = [market.prefs[i].index(p) for i, p in enumerate(picks)]
+        after = [market.prefs[i].index(row.index(1)) for i, row in enumerate(dominating)]
         assert all(a <= b for a, b in zip(after, before)) and after != before

@@ -136,8 +136,8 @@ def test_pair_coalitions_cannot_jointly_game_priority(rng):
                     list(m.projects), list(m.lower), list(m.upper), prefs
                 )
                 picks = [assigned_project(row) for row in run_priolq(deviated, order)]
-                gain_i = m.rank[i][picks[i]] - m.rank[i][honest_picks[i]]
-                gain_j = m.rank[j][picks[j]] - m.rank[j][honest_picks[j]]
+                gain_i = m.prefs[i].index(picks[i]) - m.prefs[i].index(honest_picks[i])
+                gain_j = m.prefs[j].index(picks[j]) - m.prefs[j].index(honest_picks[j])
                 assert not (gain_i <= 0 and gain_j <= 0 and gain_i + gain_j < 0)
 
 
