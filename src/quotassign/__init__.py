@@ -36,14 +36,10 @@ from .marketio import (
     decimal_string,
     generate_market,
     parse_assignment,
-    parse_lottery,
     parse_market,
-    parse_trace,
     render,
     serialize_assignment,
-    serialize_lottery,
     serialize_market,
-    serialize_trace,
 )
 from .model import (
     Market,

@@ -51,7 +51,6 @@ from .model import InternalError, Market, Matrix
 EXHAUSTION = "exhaustion"
 CRITICAL_SHIFT = "critical-shift"
 EPOCH_END = "epoch-end"
-PHASE_EVENTS = (EXHAUSTION, CRITICAL_SHIFT, EPOCH_END)
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,10 @@ class EatingPhase:
     quota), CRITICAL_SHIFT (the feasibility reserve hit zero and projects at
     or above their lower quota closed), or EPOCH_END (time ran out at t = 1;
     projects still active then close without hitting a bound).
-    `closed` lists the projects leaving the active set at `end`.
+    `closed` lists the projects leaving the active set at `end`. An
+    exhaustion at exactly t = 1 also ends the run, and its `closed` lists
+    only the exhausted projects: the other active ones are then in no
+    phase's `closed`.
     """
 
     start: Fraction

@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .decompose import Lottery
-from .eating import CRITICAL_SHIFT, PHASE_EVENTS, EatingPhase, EatingTrace, run_pslq_traced
+from .eating import CRITICAL_SHIFT, EatingTrace, run_pslq_traced
 from .model import Market, MarketError, Matrix, as_rational, format_rational
 
 RENDER_FORMATS = ("table", "json", "csv")
@@ -45,12 +45,6 @@ def _rational_field(value, field: str) -> Fraction:
         raise MarketError(f"{field}: {exc}") from None
 
 
-def _names(value, field: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
-        raise MarketError(f"{field}: must be an array of project names")
-    return value
-
-
 def parse_market(text: str) -> Market:
     """Read a market document: {"projects": [{"name", "lower", "upper"}],
     "preferences": [[names best first], ...]}.
@@ -77,100 +71,37 @@ def parse_market(text: str) -> Market:
         lower.append(_rational_field(entry.get("lower", 0), f"{field}.lower"))
         cap = entry.get("upper")
         upper.append(None if cap is None else _rational_field(cap, f"{field}.upper"))
-    preferences = [
-        _names(ranking, f"preferences[{idx}]") for idx, ranking in enumerate(doc["preferences"])
-    ]
-    return Market(names, lower, upper, preferences)
-
-
-def _matrix(rows, market: Market, field: str, parsed: dict) -> Matrix:
-    """Read `rows` as an n x k matrix whose entries are named `field`[r][p]
-    in errors. `parsed` holds the Fraction of every string already read in
-    the same document, so each distinct string is parsed once."""
-    if not isinstance(rows, list):
-        raise MarketError('expected an "assignment" array of rows')
-    if len(rows) != market.n:
-        raise MarketError(f"expected {market.n} rows, got {len(rows)}")
-    matrix = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != market.k:
-            raise MarketError(f"{field}[{i}]: expected {market.k} entries")
-        entries = []
-        for p, value in enumerate(row):
-            if not isinstance(value, str):
-                entries.append(_rational_field(value, f"{field}[{i}][{p}]"))
-                continue
-            if value not in parsed:
-                parsed[value] = _rational_field(value, f"{field}[{i}][{p}]")
-            entries.append(parsed[value])
-        matrix.append(tuple(entries))
-    return tuple(matrix)
+    for idx, ranking in enumerate(doc["preferences"]):
+        if not isinstance(ranking, list) or not all(isinstance(name, str) for name in ranking):
+            raise MarketError(f"preferences[{idx}]: must be an array of project names")
+    return Market(names, lower, upper, doc["preferences"])
 
 
 def parse_assignment(text: str, market: Market) -> Matrix:
     """Read an assignment matrix, {"assignment": rows} or a bare row array,
-    one row per student in market order."""
+    one row per student in market order. Each distinct string entry is
+    parsed once."""
     doc = _load_document(text)
     rows = doc.get("assignment") if isinstance(doc, dict) else doc
-    return _matrix(rows, market, "assignment", {})
-
-
-def parse_lottery(text: str, market: Market) -> Lottery:
-    doc = _load_document(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
-        raise MarketError('expected a "terms" array')
+    if not isinstance(rows, list):
+        raise MarketError('expected an "assignment" array of rows')
+    if len(rows) != market.n:
+        raise MarketError(f"expected {market.n} rows, got {len(rows)}")
     parsed = {}
-    terms = []
-    for idx, term in enumerate(doc["terms"]):
-        field = f"terms[{idx}]"
-        if not isinstance(term, dict) or "weight" not in term or "assignment" not in term:
-            raise MarketError(f"{field}: expected weight and assignment")
-        weight = _rational_field(term["weight"], f"{field}.weight")
-        terms.append((weight, _matrix(term["assignment"], market, f"{field}.assignment", parsed)))
-    return Lottery(tuple(terms))
-
-
-def parse_trace(text: str, market: Market) -> EatingTrace:
-    """Read an eating trace: phases that tile [0, 1] in order, each of
-    positive length, ended by one of the three event kinds and with one
-    project per student in its pattern."""
-    doc = _load_document(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("phases"), list):
-        raise MarketError('expected a "phases" array')
-    if not doc["phases"]:
-        raise MarketError("phases: must tile [0, 1], got no phase")
-    critical = doc.get("critical_time")
-    phases = []
-    for idx, phase in enumerate(doc["phases"]):
-        field = f"phases[{idx}]"
-        if not isinstance(phase, dict):
-            raise MarketError(f"{field}: must be an object")
-        try:
-            projects = {
-                key: tuple(market.index[name] for name in _names(phase[key], f"{field}.{key}"))
-                for key in ("active", "pattern", "closed")
-            }
-            start = _rational_field(phase["start"], f"{field}.start")
-            end = _rational_field(phase["end"], f"{field}.end")
-            event = phase["event"]
-        except KeyError as exc:
-            raise MarketError(f"{field}: missing or unknown {exc}") from None
-        if event not in PHASE_EVENTS:
-            raise MarketError(f"{field}.event: must be one of {', '.join(PHASE_EVENTS)}")
-        previous_end = phases[-1].end if phases else 0
-        if start != previous_end:
-            raise MarketError(f"{field}.start: must equal the previous end, {previous_end}")
-        if not start < end <= 1:
-            raise MarketError(f"{field}.end: must be after its start and at most 1")
-        if len(projects["pattern"]) != market.n:
-            raise MarketError(f"{field}.pattern: must name one project per student")
-        phases.append(EatingPhase(start=start, end=end, event=event, **projects))
-    if phases[-1].end != 1:
-        raise MarketError(f"phases[{len(phases) - 1}].end: the last phase must end at 1")
-    return EatingTrace(
-        phases=tuple(phases),
-        critical_time=None if critical is None else _rational_field(critical, "critical_time"),
-    )
+    matrix = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != market.k:
+            raise MarketError(f"assignment[{i}]: expected {market.k} entries")
+        entries = []
+        for p, value in enumerate(row):
+            if not isinstance(value, str):
+                entries.append(_rational_field(value, f"assignment[{i}][{p}]"))
+                continue
+            if value not in parsed:
+                parsed[value] = _rational_field(value, f"assignment[{i}][{p}]")
+            entries.append(parsed[value])
+        matrix.append(tuple(entries))
+    return tuple(matrix)
 
 
 # serialization
@@ -234,14 +165,6 @@ def serialize_market(market: Market) -> str:
 
 def serialize_assignment(matrix: Matrix) -> str:
     return json.dumps(assignment_to_json(matrix), indent=2)
-
-
-def serialize_lottery(lottery: Lottery) -> str:
-    return json.dumps(lottery_to_json(lottery), indent=2)
-
-
-def serialize_trace(trace: EatingTrace, market: Market) -> str:
-    return json.dumps(trace_to_json(trace, market), indent=2)
 
 
 # rendering

@@ -138,9 +138,10 @@ class Market:
                     raise MarketError(f"student {student + 1}: project index {entry} out of range")
                 out.append(entry)
             else:
-                if entry not in self.index:
-                    raise MarketError(f"student {student + 1}: unknown project {entry!r}")
-                out.append(self.index[entry])
+                try:
+                    out.append(self.index[entry])
+                except (KeyError, TypeError):  # TypeError: an unhashable entry
+                    raise MarketError(f"student {student + 1}: unknown project {entry!r}") from None
         if sorted(out) != list(range(self.k)):
             raise MarketError(
                 f"student {student + 1}: ranking must list every project exactly once"
@@ -259,8 +260,12 @@ def is_feasible(mat: Matrix, market: Market) -> bool:
 
 
 def validate_permutation(order: Sequence[int], n: int) -> tuple:
-    """Check that `order` is a permutation of 0..n-1 and return it as a tuple."""
+    """Check that `order` is a permutation of 0..n-1 and return it as a tuple.
+
+    Entries must be ints; a bool or a float such as 1.0 is no student index."""
     order = tuple(order)
+    if any(isinstance(s, bool) or not isinstance(s, int) for s in order):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {order} holds a non-int entry")
     if sorted(order) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
     return order

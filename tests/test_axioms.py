@@ -311,6 +311,9 @@ def test_ml_fairness_single_student():
         [0, 1, 1],  # a repeated entry would overwrite a position
         [0, 1, 3],  # a student out of range
         [0, 1, 2, 3],  # one entry too many
+        [0.0, 1.0, 2.0],  # floats equal to ints are no student indices
+        [0, "1", 2],  # a string does not sort against ints
+        [True, False, 2],  # True == 1 and False == 0, but a bool is no index
     ],
 )
 def test_ml_fairness_rejects_a_master_list_that_is_not_a_permutation(master_list):

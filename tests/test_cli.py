@@ -7,11 +7,11 @@ from quotassign.cli import main
 from quotassign.decompose import decompose
 from quotassign.eating import run_pslq_traced
 from quotassign.marketio import (
-    parse_lottery,
+    lottery_to_json,
     parse_market,
-    parse_trace,
     serialize_assignment,
     serialize_market,
+    trace_to_json,
 )
 from quotassign.model import Market, as_rational
 from quotassign.priority import run_priolq, run_rplq_sampled
@@ -65,7 +65,7 @@ def test_run_pslq_json_with_trace(tmp_path, capsys):
     assert doc["assignment"] == rows(PSLQ_FIVE)
     assert doc["trace"]["critical_time"] == "3/4"
     _, trace = run_pslq_traced(market)
-    assert parse_trace(json.dumps(doc["trace"]), market) == trace
+    assert doc["trace"] == trace_to_json(trace, market)
 
 
 def test_run_pslq_trace_table(tmp_path, capsys):
@@ -267,8 +267,8 @@ def test_decompose_verify(tmp_path, capsys):
     )
     assert code == 0
     assert doc["verified"] is True
-    lottery = parse_lottery(json.dumps(doc), market)
-    assert lottery == decompose(PSLQ_FIVE, market)
+    lottery = decompose(PSLQ_FIVE, market)
+    assert doc["terms"] == lottery_to_json(lottery)["terms"]
     assert lottery.expectation() == PSLQ_FIVE
 
 

@@ -89,6 +89,13 @@ def test_market_rejects_bools_as_project_indices():
         Market(["a", "b"], [0, 0], [None, None], [[0, 1], [1, False]])
 
 
+def test_market_rejects_unhashable_ranking_entries():
+    with pytest.raises(MarketError, match=r"student 1: unknown project \['a'\]"):
+        Market(["a", "b"], [0, 0], [None, None], [[["a"], "b"]])
+    with pytest.raises(MarketError, match=r"student 2: unknown project \{'a': 0\}"):
+        Market(["a", "b"], [0, 0], [None, None], [["a", "b"], [{"a": 0}, "b"]])
+
+
 def test_integer_quota_detection():
     assert market_lower_quotas().has_integer_quotas()
     m = Market(["a", "b"], [0, "1/2"], [None, None], [["a", "b"], ["b", "a"]])
@@ -139,6 +146,8 @@ def test_validate_permutation():
     assert validate_permutation([2, 0, 1], 3) == (2, 0, 1)
     with pytest.raises(ValueError):
         validate_permutation([0, 0, 1], 3)
+    with pytest.raises(ValueError, match="holds a non-int entry"):
+        validate_permutation([2, 0.0, 1], 3)
 
 
 def test_uncapped_projects_are_flagged():
@@ -183,14 +192,18 @@ def test_public_api_is_pinned():
         "Lottery", "decompose", "extract_extreme_point",
         # marketio
         "GeneratorConfig", "decimal_string", "generate_market", "parse_assignment",
-        "parse_lottery", "parse_market", "parse_trace", "render", "serialize_assignment",
-        "serialize_lottery", "serialize_market", "serialize_trace",
+        "parse_market", "render", "serialize_assignment", "serialize_market",
         # strategy
         "INCOMPARABLE_CHANGE", "MECHANISMS", "NO_CHANGE", "STRICT_GAIN",
         "ImpossibilityReport", "ManipulationReport", "impossibility_scenario",
         "misreport_outcomes", "search_manipulation", "verify_weak_sp",
     }
-    # the matrix-state eating step API, the unused menu pick and the rank table left
-    gone = {"EatingState", "initial_state", "next_event", "active_projects", "choice"}
-    assert gone.isdisjoint(dir(quotassign))
+    # the matrix-state eating step API, the unused menu pick and the rank table
+    # left, and trace and lottery documents are written only
+    gone = {
+        "EatingState", "initial_state", "next_event", "active_projects", "choice",
+        "parse_trace", "parse_lottery", "serialize_trace", "serialize_lottery",
+        "PHASE_EVENTS",
+    }
+    assert gone.isdisjoint(dir(quotassign) + dir(quotassign.eating) + dir(quotassign.marketio))
     assert not hasattr(quotassign.Market(["a"], [0], [None], [["a"]]), "rank")

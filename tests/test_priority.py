@@ -68,6 +68,19 @@ def test_priolq_rejects_bad_order():
         run_priolq(market_no_quotas(), [0, 1, 2, 2])
 
 
+@pytest.mark.parametrize(
+    "order",
+    [
+        [0.0, 1.0, 2.0, 3.0],  # floats equal to ints are no student indices
+        [0, "1", 2, 3],  # a string does not sort against ints
+        [True, False, 2, 3],  # True == 1 and False == 0, but a bool is no index
+    ],
+)
+def test_priolq_rejects_an_order_of_non_ints(order):
+    with pytest.raises(ValueError, match="holds a non-int entry"):
+        run_priolq(market_no_quotas(), order)
+
+
 def test_rplq_exact_no_quotas():
     result = run_rplq_exact(market_no_quotas())
     assert result.assignment == RPLQ_NO_QUOTAS
