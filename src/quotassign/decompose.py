@@ -61,52 +61,6 @@ class Lottery:
         return tuple(tuple(Fraction(x, scale) for x in row) for row in total)
 
 
-class _FlowNetwork:
-    """Max flow by shortest augmenting paths over integer capacities.
-
-    Arc order is insertion order, so identical inputs augment identically.
-    """
-
-    def __init__(self, size: int):
-        self.adj = [[] for _ in range(size)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-        return len(self.adj[u]) - 1
-
-    def max_flow(self, source: int, sink: int) -> int:
-        total = 0
-        while True:
-            parent = {source: None}
-            queue = [source]
-            head = 0
-            while head < len(queue) and sink not in parent:
-                node = queue[head]
-                head += 1
-                for index, (to, cap, _) in enumerate(self.adj[node]):
-                    if cap > 0 and to not in parent:
-                        parent[to] = (node, index)
-                        queue.append(to)
-            if sink not in parent:
-                return total
-            bottleneck = None
-            node = sink
-            while parent[node] is not None:
-                prev, index = parent[node]
-                cap = self.adj[prev][index][1]
-                bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-                node = prev
-            node = sink
-            while parent[node] is not None:
-                prev, index = parent[node]
-                edge = self.adj[prev][index]
-                edge[1] -= bottleneck
-                self.adj[edge[0]][edge[2]][1] += bottleneck
-                node = prev
-            total += bottleneck
-
-
 def _reject_bad_input(assignment: Matrix, market: Market) -> None:
     if not market.has_integer_quotas():
         raise ValueError("decomposition requires integer quotas")
@@ -121,61 +75,148 @@ def extract_extreme_point(assignment: Matrix, market: Market) -> Matrix:
     `assignment`'s column sums."""
     _reject_bad_input(assignment, market)
     sums = column_sums(assignment)
-    return _extreme_point(assignment, [math.floor(s) for s in sums], [math.ceil(s) for s in sums])
+    picks = _extreme_point(
+        _holdings(assignment), [math.floor(s) for s in sums], [math.ceil(s) for s in sums]
+    )
+    units = _unit_rows(market.k)
+    return tuple(units[p] for p in picks)
 
 
-def _extreme_point(support: Matrix, floors: list, ceilings: list) -> Matrix:
-    """A 0/1 matrix, 1 only where `support` is positive, with one 1 per row
-    and between floors[p] and ceilings[p] in each column p, found as an
+def _holdings(support) -> list:
+    """Per student, the projects they hold a positive share of, in order."""
+    return [[p for p, v in enumerate(row) if v] for row in support]  # entries are nonnegative
+
+
+def _unit_rows(k: int) -> tuple:
+    """The 0/1 row of each project, shared by every term that picks it."""
+    return tuple(tuple(Fraction(int(p == q)) for q in range(k)) for p in range(k))
+
+
+def _extreme_point(holdings: list, floors: list, ceilings: list) -> list:
+    """One project per student, taken from holdings[i], with between
+    floors[p] and ceilings[p] students on each project p, found as an
     integral flow: each student pushes one unit through the projects they
-    hold a positive share of; the per-column window [floor, ceil] is an arc
-    with a lower bound, reduced to plain capacities via the usual excess arcs
-    to a super source/sink. A row whose only positive entry is its 1 has a
-    single arc, so the unit is forced through it.
+    hold; the per-column window [floor, ceil] is an arc with a lower bound,
+    reduced to plain capacities via the usual excess arcs to a super
+    source/sink. A student holding one project has a single arc, so the
+    unit is forced through it.
+
+    The flow is Edmonds & Karp's: each augmenting path is the one that a
+    breadth-first search over the arcs, in insertion order, finds. Most of
+    those paths are known without the search. Once the source's arc to the
+    collector is full (or absent), the search reaches every student with no
+    unit yet, then the projects they hold in order of (first such holder,
+    project), and stops at the first of those whose floor is unmet. While
+    such a project exists, the path source -> holder -> project -> sink is
+    taken directly; `first` points each project at its first holder with no
+    unit (no path takes a student's unit back). The search finds the other
+    paths. It stops once it reaches the sink, and skips a student once it
+    has reached every project, as a student's arcs lead only to the source
+    and to projects; neither changes the path it finds.
     """
-    n, k = len(support), len(floors)
+    n, k = len(holdings), len(floors)
     # nodes: students 0..n-1, projects n..n+k-1, then collector / super
-    # source / super sink
-    collector = n + k
-    source = n + k + 1
-    sink = n + k + 2
-    net = _FlowNetwork(n + k + 3)
+    # source / super sink; arc a runs heads[a ^ 1] -> heads[a] and arc a ^ 1
+    # is its residual twin, arcs[v] lists v's arcs in insertion order
+    collector, source, sink = n + k, n + k + 1, n + k + 2
+    heads, caps, arcs = [], [], [[] for _ in range(n + k + 3)]
+
+    def add_arc(u: int, v: int, cap: int) -> int:
+        arcs[u].append(len(heads))
+        arcs[v].append(len(heads) + 1)
+        heads.extend((v, u))
+        caps.extend((cap, 0))
+        return len(heads) - 2
+
     for i in range(n):
-        net.add_edge(source, i, 1)
-    if sum(floors) > 0:
-        net.add_edge(source, collector, sum(floors))
-    share_arcs = {}
-    for i in range(n):
-        for p in range(k):
-            if support[i][p]:  # entries are nonnegative
-                share_arcs[i, p] = net.add_edge(i, n + p, 1)
+        add_arc(source, i, 1)  # arc 2 * i
+    floor_total = sum(floors)
+    to_collector = add_arc(source, collector, floor_total) if floor_total > 0 else None
+    holders = [[] for _ in range(k)]  # (student, arc) per project, students in order
+    for i, held in enumerate(holdings):
+        for p in held:
+            holders[p].append((i, add_arc(i, n + p, 1)))
+    floor_arcs = []
     for p in range(k):
         if ceilings[p] > floors[p]:
-            net.add_edge(n + p, collector, ceilings[p] - floors[p])
+            add_arc(n + p, collector, ceilings[p] - floors[p])
         if floors[p] > 0:
-            net.add_edge(n + p, sink, floors[p])
-    net.add_edge(collector, sink, n)
-    required = n + sum(floors)
-    flowed = net.max_flow(source, sink)
-    if flowed != required:
+            floor_arcs.append((p, add_arc(n + p, sink, floors[p])))
+    add_arc(collector, sink, n)
+
+    flowed = 0
+    first = [0] * k
+    while True:
+        if to_collector is None or caps[to_collector] == 0:
+            best = None
+            for p, floor_arc in floor_arcs:
+                if caps[floor_arc]:
+                    line, j = holders[p], first[p]
+                    while j < len(line) and caps[2 * line[j][0]] == 0:
+                        j += 1
+                    first[p] = j
+                    if j < len(line) and (best is None or line[j][0] < best[0][0]):
+                        best = (line[j], floor_arc)
+            if best is not None:
+                (i, share), floor_arc = best
+                for a in (2 * i, share, floor_arc):
+                    caps[a] -= 1
+                    caps[a ^ 1] += 1
+                flowed += 1
+                continue
+
+        via = [-1] * (n + k + 3)  # the arc each node was reached by
+        via[source] = len(heads)  # reached, by no arc
+        queue = [source]
+        unseen = k  # projects not reached yet; at 0 a student reaches nothing new
+        for node in queue:
+            if node < n and unseen == 0:
+                continue
+            for a in arcs[node]:
+                to = heads[a]
+                if caps[a] and via[to] < 0:
+                    via[to] = a
+                    queue.append(to)
+                    if n <= to < collector:
+                        unseen -= 1
+                    elif to == sink:
+                        break
+            if via[sink] >= 0:
+                break
+        else:
+            break
+        path = []
+        node = sink
+        while node != source:
+            path.append(via[node])
+            node = heads[via[node] ^ 1]
+        bottleneck = min(caps[a] for a in path)
+        for a in path:
+            caps[a] -= bottleneck
+            caps[a ^ 1] += bottleneck
+        flowed += bottleneck
+
+    if flowed != n + floor_total:
         raise InternalError("no integral point in a nonempty window")
-    extracted = [[Fraction(0)] * k for _ in range(n)]
-    for (i, p), index in share_arcs.items():
-        if net.adj[i][index][1] == 0:
-            extracted[i][p] = Fraction(1)
-    return tuple(tuple(row) for row in extracted)
+    picks = [None] * n
+    for p, line in enumerate(holders):
+        for i, share in line:
+            if caps[share] == 0:
+                picks[i] = p
+    return picks
 
 
-def _peel_weight(rest, mass: Fraction, x: Matrix, sums, floors, ceilings) -> Fraction:
+def _peel_weight(rest, mass: Fraction, picks: list, counts: list, sums, floors, ceilings) -> Fraction:
     """Largest w keeping rest - w*x inside [0, mass - w] entrywise and every
-    column sum inside (mass - w) times its floor/ceiling window.
+    column sum inside (mass - w) times its floor/ceiling window, where x
+    gives student i project picks[i] and counts[p] students to project p.
 
     Every row of rest sums to mass, so while a row's held entry (where x
     is 1) stays nonnegative its other entries stay at most mass - w: of the
     entries, only the held ones bound w.
     """
-    ratios = [row[x_row.index(1)] for row, x_row in zip(rest, x)]  # held entry falls to 0
-    for s, c, lo, hi in zip(sums, column_sums(x), floors, ceilings):
+    ratios = [row[p] for row, p in zip(rest, picks)]  # held entry falls to 0
+    for s, c, lo, hi in zip(sums, counts, floors, ceilings):
         if c > lo:
             ratios.append((s - mass * lo) / (c - lo))  # column falls to its floor
         if c < hi:
@@ -193,20 +234,29 @@ def decompose(assignment: Matrix, market: Market) -> Lottery:
     """
     _reject_bad_input(assignment, market)
     rest = [list(row) for row in assignment]
+    holdings = _holdings(rest)
     sums = list(column_sums(assignment))
+    units = _unit_rows(market.k)
     mass = Fraction(1)
     terms = []
     while mass > 0:
-        floors = [math.floor(s / mass) for s in sums]
-        ceilings = [math.ceil(s / mass) for s in sums]
-        x = _extreme_point(rest, floors, ceilings)
-        weight = _peel_weight(rest, mass, x, sums, floors, ceilings)
-        for row, x_row in zip(rest, x):
-            p = x_row.index(1)
+        shares = [s / mass for s in sums]
+        floors = [math.floor(s) for s in shares]
+        ceilings = [math.ceil(s) for s in shares]
+        picks = _extreme_point(holdings, floors, ceilings)
+        counts = [0] * market.k
+        for p in picks:
+            counts[p] += 1
+        weight = _peel_weight(rest, mass, picks, counts, sums, floors, ceilings)
+        for row, held, p in zip(rest, holdings, picks):
             row[p] -= weight
-            sums[p] -= weight
+            if not row[p]:
+                held.remove(p)
+        for p, c in enumerate(counts):
+            if c:
+                sums[p] -= c * weight
         mass -= weight
-        terms.append((weight, x))
+        terms.append((weight, tuple(units[p] for p in picks)))
     if any(any(row) for row in rest):
         raise InternalError("the peeled terms do not add up to the assignment")
     return Lottery(tuple(terms))

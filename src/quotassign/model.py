@@ -131,8 +131,15 @@ class Market:
             )
 
     def _coerce_ranking(self, ranking, student: int) -> tuple:
+        # a string is iterable, but letter by letter it is no ranking
+        if isinstance(ranking, (str, bytes)):
+            raise MarketError(f"student {student + 1}: ranking must be a list, not {ranking!r}")
+        try:
+            entries = iter(ranking)
+        except TypeError:
+            raise MarketError(f"student {student + 1}: ranking must be a list, not {ranking!r}") from None
         out = []
-        for entry in ranking:
+        for entry in entries:
             if isinstance(entry, int) and not isinstance(entry, bool):
                 if not 0 <= entry < self.k:
                     raise MarketError(f"student {student + 1}: project index {entry} out of range")

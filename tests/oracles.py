@@ -6,8 +6,9 @@ than tautology. The two exceptions are `pslq_by_full_matrix`, the earlier
 full-matrix eating loop, which reuses the package's private active-set and
 phase-event rule (`_active_set`, `_end_phase`), and
 `decompose_by_renormalising`, the earlier peel loop, which reuses the
-package's public `extract_extreme_point` (see their docstrings). `choice`,
-a student's best project within a menu, is the oracles' own.
+package's feasibility check (see their docstrings). `choice`, a student's
+best project within a menu, and `extreme_point_by_bfs`, the earlier flow
+that ran one breadth-first search per augmenting path, are the oracles' own.
 
 The envy audits, `tau_graph` and `Lottery.expectation` are checked against
 their earlier loops: every row pair in Fractions, every (student, held
@@ -19,8 +20,8 @@ import math
 from fractions import Fraction
 
 from quotassign.eating import CRITICAL_SHIFT, EatingPhase, EatingTrace, _active_set, _end_phase
-from quotassign.decompose import Lottery, extract_extreme_point
-from quotassign.model import InternalError, Market, column_sums
+from quotassign.decompose import Lottery
+from quotassign.model import InternalError, Market, column_sums, feasibility_violations
 
 
 def choice(prefs, student: int, menu) -> int:
@@ -268,6 +269,97 @@ def exists_dominating(R, market: Market, denominator: int):
     return None
 
 
+class _FlowNetwork:
+    """Max flow by shortest augmenting paths over integer capacities.
+
+    Arc order is insertion order, so identical inputs augment identically.
+    """
+
+    def __init__(self, size: int):
+        self.adj = [[] for _ in range(size)]
+
+    def add_edge(self, u: int, v: int, cap: int) -> int:
+        self.adj[u].append([v, cap, len(self.adj[v])])
+        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+        return len(self.adj[u]) - 1
+
+    def max_flow(self, source: int, sink: int) -> int:
+        total = 0
+        while True:
+            parent = {source: None}
+            queue = [source]
+            head = 0
+            while head < len(queue) and sink not in parent:
+                node = queue[head]
+                head += 1
+                for index, (to, cap, _) in enumerate(self.adj[node]):
+                    if cap > 0 and to not in parent:
+                        parent[to] = (node, index)
+                        queue.append(to)
+            if sink not in parent:
+                return total
+            bottleneck = None
+            node = sink
+            while parent[node] is not None:
+                prev, index = parent[node]
+                cap = self.adj[prev][index][1]
+                bottleneck = cap if bottleneck is None else min(bottleneck, cap)
+                node = prev
+            node = sink
+            while parent[node] is not None:
+                prev, index = parent[node]
+                edge = self.adj[prev][index]
+                edge[1] -= bottleneck
+                self.adj[edge[0]][edge[2]][1] += bottleneck
+                node = prev
+            total += bottleneck
+
+
+def extreme_point_by_bfs(support, floors: list, ceilings: list):
+    """A 0/1 matrix, 1 only where `support` is positive, with one 1 per row
+    and between floors[p] and ceilings[p] in each column p, found as an
+    integral flow: each student pushes one unit through the projects they
+    hold a positive share of; the per-column window [floor, ceil] is an arc
+    with a lower bound, reduced to plain capacities via the usual excess arcs
+    to a super source/sink. A row whose only positive entry is its 1 has a
+    single arc, so the unit is forced through it.
+
+    The earlier flow of `decompose`: a fresh `_FlowNetwork` and one full
+    breadth-first search per unit augmented.
+    """
+    n, k = len(support), len(floors)
+    # nodes: students 0..n-1, projects n..n+k-1, then collector / super
+    # source / super sink
+    collector = n + k
+    source = n + k + 1
+    sink = n + k + 2
+    net = _FlowNetwork(n + k + 3)
+    for i in range(n):
+        net.add_edge(source, i, 1)
+    if sum(floors) > 0:
+        net.add_edge(source, collector, sum(floors))
+    share_arcs = {}
+    for i in range(n):
+        for p in range(k):
+            if support[i][p]:  # entries are nonnegative
+                share_arcs[i, p] = net.add_edge(i, n + p, 1)
+    for p in range(k):
+        if ceilings[p] > floors[p]:
+            net.add_edge(n + p, collector, ceilings[p] - floors[p])
+        if floors[p] > 0:
+            net.add_edge(n + p, sink, floors[p])
+    net.add_edge(collector, sink, n)
+    required = n + sum(floors)
+    flowed = net.max_flow(source, sink)
+    if flowed != required:
+        raise InternalError("no integral point in a nonempty window")
+    extracted = [[Fraction(0)] * k for _ in range(n)]
+    for (i, p), index in share_arcs.items():
+        if net.adj[i][index][1] == 0:
+            extracted[i][p] = Fraction(1)
+    return tuple(tuple(row) for row in extracted)
+
+
 def _step_size(assignment, extracted):
     """Largest step keeping (assignment - step*extracted)/(1 - step) inside
     [0, 1] entrywise and every column sum inside its floor/ceiling window."""
@@ -294,16 +386,21 @@ def decompose_by_renormalising(assignment, market: Market):
     1 - step so that it is again a random assignment, and keep a running
     product of the scales as the next term's weight.
 
-    It calls the package's `extract_extreme_point` on every renormalised
-    remainder (which validates it each time), so agreement with `decompose`
-    checks the unnormalised peel (weights, windows and the stopping rule),
-    not the flow network.
+    It validates every renormalised remainder and takes its extreme point
+    from `extreme_point_by_bfs`, so agreement with `decompose` checks the
+    unnormalised peel (weights, windows and the stopping rule) and the flow.
     """
     terms = []
     weight = Fraction(1)
     current = assignment
     while True:
-        extracted = extract_extreme_point(current, market)
+        violations = feasibility_violations(current, market)
+        if violations:
+            raise ValueError("remainder is infeasible: " + "; ".join(violations))
+        sums = column_sums(current)
+        floors = [math.floor(s) for s in sums]
+        ceilings = [math.ceil(s) for s in sums]
+        extracted = extreme_point_by_bfs(current, floors, ceilings)
         step = _step_size(current, extracted)
         if step == 1:
             if current != extracted:

@@ -96,6 +96,19 @@ def test_market_rejects_unhashable_ranking_entries():
         Market(["a", "b"], [0, 0], [None, None], [["a", "b"], [{"a": 0}, "b"]])
 
 
+@pytest.mark.parametrize("ranking", [5, None, 1.5])
+def test_market_rejects_a_ranking_that_is_not_iterable(ranking):
+    with pytest.raises(MarketError, match=f"student 2: ranking must be a list, not {ranking}"):
+        Market(["a", "b"], [0, 0], [None, None], [["a", "b"], ranking])
+
+
+@pytest.mark.parametrize("ranking", ["ab", "ba", b"ab"])
+def test_market_rejects_a_string_ranking(ranking):
+    # letter by letter "ab" would read as ["a", "b"]
+    with pytest.raises(MarketError, match="student 1: ranking must be a list, not"):
+        Market(["a", "b"], [0, 0], [None, None], [ranking, ["a", "b"]])
+
+
 def test_integer_quota_detection():
     assert market_lower_quotas().has_integer_quotas()
     m = Market(["a", "b"], [0, "1/2"], [None, None], [["a", "b"], ["b", "a"]])
