@@ -21,7 +21,7 @@ from .axioms import (
     sd_dominates,
     tau_graph,
 )
-from .decompose import Lottery, decompose, extract_extreme_point
+from .decompose import Lottery, decompose
 from .eating import (
     CRITICAL_SHIFT,
     EPOCH_END,

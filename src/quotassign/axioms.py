@@ -175,35 +175,35 @@ def find_tau_cycle(R: Matrix, prefs: Sequence[Sequence[int]]) -> Optional[tuple]
 
 
 def _cycle(edges: dict, successors: list) -> Optional[tuple]:
-    k = len(successors)
+    """The first cycle a depth-first search meets, starting from each
+    unvisited node in order and taking successors in list order. The search
+    keeps its own stack of successor iterators, so a deep graph cannot
+    exhaust the interpreter's recursion limit."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * k
-    stack = []
-
-    def visit(node):
-        color[node] = GRAY
-        stack.append(node)
-        for succ in successors[node]:
-            if color[succ] == GRAY:
-                cycle = stack[stack.index(succ):]
-                return cycle
-            if color[succ] == WHITE:
-                found = visit(succ)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for start in range(k):
-        if color[start] == WHITE:
-            cycle = visit(start)
-            if cycle is not None:
-                witnesses = tuple(
-                    edges[(cycle[j], cycle[(j + 1) % len(cycle)])]
-                    for j in range(len(cycle))
-                )
-                return tuple(cycle), witnesses
+    color = [WHITE] * len(successors)
+    for start in range(len(successors)):
+        if color[start] != WHITE:
+            continue
+        color[start] = GRAY
+        stack = [start]  # the gray nodes, in the order they were entered
+        pending = [iter(successors[start])]
+        while pending:
+            for succ in pending[-1]:
+                if color[succ] == GRAY:
+                    cycle = stack[stack.index(succ):]
+                    witnesses = tuple(
+                        edges[(cycle[j], cycle[(j + 1) % len(cycle)])]
+                        for j in range(len(cycle))
+                    )
+                    return tuple(cycle), witnesses
+                if color[succ] == WHITE:
+                    color[succ] = GRAY
+                    stack.append(succ)
+                    pending.append(iter(successors[succ]))
+                    break
+            else:
+                color[stack.pop()] = BLACK
+                pending.pop()
     return None
 
 

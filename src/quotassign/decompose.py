@@ -13,83 +13,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .model import InternalError, Market, Matrix, column_sums, feasibility_violations
 
 
 @dataclass(frozen=True)
 class Lottery:
-    """Convex combination ((weight, assignment), ...) with weights summing to 1."""
+    """Convex combination ((weight, picks), ...) with weights summing to 1:
+    each term gives student i project picks[i], one of range(k)."""
 
+    k: int
     terms: tuple
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("lottery needs at least one term")
-        if any(weight <= 0 for weight, _ in self.terms):
-            raise ValueError("lottery weights must be positive")
+        for weight, _ in self.terms:
+            if isinstance(weight, bool) or not isinstance(weight, (int, Fraction)):
+                raise ValueError("lottery weights must be ints or Fractions")
+            if weight <= 0:
+                raise ValueError("lottery weights must be positive")
         if sum(weight for weight, _ in self.terms) != 1:
             raise ValueError("lottery weights must sum to exactly 1")
-        shapes = {(len(matrix), *map(len, matrix)) for _, matrix in self.terms}
-        if len(shapes) != 1:
-            raise ValueError("lottery terms must all have the same shape")
+        if len({len(picks) for _, picks in self.terms}) != 1:
+            raise ValueError("lottery terms must all have the same number of students")
+        for _, picks in self.terms:
+            for p in picks:
+                if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p < self.k:
+                    raise ValueError(f"lottery picks must be ints in range({self.k})")
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def expectation(self) -> Matrix:
-        """Weighted sum of the term matrices, exact.
-
-        Only nonzero entries are visited. Every product weight × entry is an
-        int over one common denominator (the lcm of the weights' times the
-        lcm of the entries'), so the sums are ints until the end.
-        """
-        rows = len(self.terms[0][1])
-        cols = len(self.terms[0][1][0])
-        weight_scale = math.lcm(*{weight.denominator for weight, _ in self.terms})
-        nonzero = (v for _, matrix in self.terms for row in matrix for v in compress(row, row))
-        entry_scale = math.lcm(*{v.denominator for v in nonzero})
-        total = [[0] * cols for _ in range(rows)]
-        for weight, matrix in self.terms:
-            w = weight.numerator * (weight_scale // weight.denominator)
-            for out, row in zip(total, matrix):
-                for p in compress(range(cols), row):
-                    v = row[p]
-                    out[p] += w * v.numerator * (entry_scale // v.denominator)
-        scale = weight_scale * entry_scale
+        """Weighted sum of the terms' 0/1 matrices, exact: each weight is an
+        int over the lcm of the weights' denominators, so the sums are ints
+        until the end."""
+        scale = math.lcm(*{weight.denominator for weight, _ in self.terms})
+        total = [[0] * self.k for _ in self.terms[0][1]]
+        for weight, picks in self.terms:
+            w = weight.numerator * (scale // weight.denominator)
+            for out, p in zip(total, picks):
+                out[p] += w
         return tuple(tuple(Fraction(x, scale) for x in row) for row in total)
-
-
-def _reject_bad_input(assignment: Matrix, market: Market) -> None:
-    if not market.has_integer_quotas():
-        raise ValueError("decomposition requires integer quotas")
-    violations = feasibility_violations(assignment, market)
-    if violations:
-        raise ValueError("assignment is infeasible: " + "; ".join(violations))
-
-
-def extract_extreme_point(assignment: Matrix, market: Market) -> Matrix:
-    """One deterministic assignment agreeing with the integral entries of
-    `assignment` whose column sums sit inside the floor/ceiling window of
-    `assignment`'s column sums."""
-    _reject_bad_input(assignment, market)
-    sums = column_sums(assignment)
-    picks = _extreme_point(
-        _holdings(assignment), [math.floor(s) for s in sums], [math.ceil(s) for s in sums]
-    )
-    units = _unit_rows(market.k)
-    return tuple(units[p] for p in picks)
-
-
-def _holdings(support) -> list:
-    """Per student, the projects they hold a positive share of, in order."""
-    return [[p for p, v in enumerate(row) if v] for row in support]  # entries are nonnegative
-
-
-def _unit_rows(k: int) -> tuple:
-    """The 0/1 row of each project, shared by every term that picks it."""
-    return tuple(tuple(Fraction(int(p == q)) for q in range(k)) for p in range(k))
 
 
 def _extreme_point(holdings: list, floors: list, ceilings: list) -> list:
@@ -232,11 +198,15 @@ def decompose(assignment: Matrix, market: Market) -> Lottery:
     and nothing integral ever turns fractional again, so the lottery has at
     most (fractional entries) + (fractional column sums) + 1 terms.
     """
-    _reject_bad_input(assignment, market)
+    if not market.has_integer_quotas():
+        raise ValueError("decomposition requires integer quotas")
+    violations = feasibility_violations(assignment, market)
+    if violations:
+        raise ValueError("assignment is infeasible: " + "; ".join(violations))
     rest = [list(row) for row in assignment]
-    holdings = _holdings(rest)
+    # per student, the projects they hold a positive share of, in order
+    holdings = [[p for p, v in enumerate(row) if v] for row in rest]
     sums = list(column_sums(assignment))
-    units = _unit_rows(market.k)
     mass = Fraction(1)
     terms = []
     while mass > 0:
@@ -256,7 +226,7 @@ def decompose(assignment: Matrix, market: Market) -> Lottery:
             if c:
                 sums[p] -= c * weight
         mass -= weight
-        terms.append((weight, tuple(units[p] for p in picks)))
+        terms.append((weight, tuple(picks)))
     if any(any(row) for row in rest):
         raise InternalError("the peeled terms do not add up to the assignment")
-    return Lottery(tuple(terms))
+    return Lottery(market.k, tuple(terms))

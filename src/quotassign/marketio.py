@@ -128,13 +128,13 @@ def assignment_to_json(matrix: Matrix) -> dict:
 
 
 def lottery_to_json(lottery: Lottery) -> dict:
+    """Each term as its weight and its 0/1 assignment matrix, one shared row
+    of "0"/"1" strings per project."""
+    units = [["1" if p == q else "0" for q in range(lottery.k)] for p in range(lottery.k)]
     return {
         "terms": [
-            {
-                "weight": format_rational(weight),
-                "assignment": assignment_to_json(matrix)["assignment"],
-            }
-            for weight, matrix in lottery.terms
+            {"weight": format_rational(weight), "assignment": [units[p] for p in picks]}
+            for weight, picks in lottery.terms
         ]
     }
 

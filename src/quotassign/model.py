@@ -87,6 +87,10 @@ class Market:
     """
 
     def __init__(self, projects, lower, upper, preferences):
+        # a string is iterable, but letter by letter it is no list
+        for field, value in (("projects", projects), ("lower", lower), ("upper", upper)):
+            if isinstance(value, (str, bytes)):
+                raise MarketError(f"{field} must be a list, not {value!r}")
         self.projects: tuple = tuple(str(p) for p in projects)
         self.k = len(self.projects)
         if self.k == 0:

@@ -10,9 +10,10 @@ package's feasibility check (see their docstrings). `choice`, a student's
 best project within a menu, and `extreme_point_by_bfs`, the earlier flow
 that ran one breadth-first search per augmenting path, are the oracles' own.
 
-The envy audits, `tau_graph` and `Lottery.expectation` are checked against
-their earlier loops: every row pair in Fractions, every (student, held
-project, other project) triple, and a dense multiply-add per term.
+The envy audits, `tau_graph`, `Lottery.expectation` and the tau-cycle search
+are checked against their earlier loops: every row pair in Fractions, every
+(student, held project, other project) triple, a dense multiply-add per term
+over the terms expanded to 0/1 matrices, and a recursive depth-first search.
 """
 
 import itertools
@@ -20,7 +21,6 @@ import math
 from fractions import Fraction
 
 from quotassign.eating import CRITICAL_SHIFT, EatingPhase, EatingTrace, _active_set, _end_phase
-from quotassign.decompose import Lottery
 from quotassign.model import InternalError, Market, column_sums, feasibility_violations
 
 
@@ -384,7 +384,8 @@ def _step_size(assignment, extracted):
 def decompose_by_renormalising(assignment, market: Market):
     """The earlier `decompose` loop: after each peel, divide the remainder by
     1 - step so that it is again a random assignment, and keep a running
-    product of the scales as the next term's weight.
+    product of the scales as the next term's weight. Returns the terms as
+    ((weight, 0/1 matrix), ...).
 
     It validates every renormalised remainder and takes its extreme point
     from `extreme_point_by_bfs`, so agreement with `decompose` checks the
@@ -414,7 +415,7 @@ def decompose_by_renormalising(assignment, market: Market):
             for current_row, extracted_row in zip(current, extracted)
         )
         weight *= scale
-    return Lottery(tuple(terms))
+    return tuple(terms)
 
 
 def _sd_dominates(x, y, ranking, strict=False):
@@ -462,14 +463,59 @@ def tau_graph_by_triples(R, prefs):
     return edges
 
 
+def picks_to_matrix(picks, k: int):
+    """The 0/1 Fraction matrix giving student i project picks[i]."""
+    return tuple(tuple(Fraction(int(p == q)) for q in range(k)) for p in picks)
+
+
+def expanded_terms(lottery):
+    """A lottery's terms with their picks expanded to 0/1 matrices."""
+    return tuple((weight, picks_to_matrix(picks, lottery.k)) for weight, picks in lottery.terms)
+
+
 def expectation_by_dense_sum(lottery):
     """The earlier `Lottery.expectation`: a dense n x k multiply-add in
-    Fractions per term."""
+    Fractions per term, over the terms expanded to 0/1 matrices."""
     rows = len(lottery.terms[0][1])
-    cols = len(lottery.terms[0][1][0])
+    cols = lottery.k
     total = [[Fraction(0)] * cols for _ in range(rows)]
-    for weight, assignment in lottery.terms:
+    for weight, assignment in expanded_terms(lottery):
         for i in range(rows):
             for p in range(cols):
                 total[i][p] += weight * assignment[i][p]
     return tuple(tuple(row) for row in total)
+
+
+def cycle_by_recursion(edges: dict, successors: list):
+    """The earlier `axioms._cycle`: a recursive depth-first search, which
+    exceeds the recursion limit on a path longer than about 1,000 nodes."""
+    k = len(successors)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = [WHITE] * k
+    stack = []
+
+    def visit(node):
+        color[node] = GRAY
+        stack.append(node)
+        for succ in successors[node]:
+            if color[succ] == GRAY:
+                cycle = stack[stack.index(succ):]
+                return cycle
+            if color[succ] == WHITE:
+                found = visit(succ)
+                if found is not None:
+                    return found
+        stack.pop()
+        color[node] = BLACK
+        return None
+
+    for start in range(k):
+        if color[start] == WHITE:
+            cycle = visit(start)
+            if cycle is not None:
+                witnesses = tuple(
+                    edges[(cycle[j], cycle[(j + 1) % len(cycle)])]
+                    for j in range(len(cycle))
+                )
+                return tuple(cycle), witnesses
+    return None

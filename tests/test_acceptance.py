@@ -47,7 +47,7 @@ from goldens import (
     market_thirds,
     market_thirds_misreport,
 )
-from oracles import classical_ps
+from oracles import classical_ps, expanded_terms
 
 
 @contextmanager
@@ -188,7 +188,7 @@ def test_criterion_5_decomposition():
                 1 for total in column_sums(matrix) if total.denominator > 1
             )
             assert len(lottery) <= fractional_entries + fractional_columns + 1
-            for _, term in lottery.terms:
+            for _, term in expanded_terms(lottery):
                 assert is_integral(term)
                 assert is_feasible(term, market)
 

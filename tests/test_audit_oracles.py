@@ -1,19 +1,20 @@
-"""The envy audits over distinct rows, the bitmask `tau_graph` and the sparse
-integer `Lottery.expectation` against their earlier loops in
-tests/oracles.py: verdicts, witness pairs, edge dicts and matrices must be
-identical."""
+"""The envy audits over distinct rows, the bitmask `tau_graph`, the sparse
+integer `Lottery.expectation` and the tau-cycle search on an explicit stack
+against their earlier loops in tests/oracles.py: verdicts, witness pairs,
+edge dicts, matrices and cycles must be identical."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from quotassign.axioms import is_envy_free, is_weakly_envy_free, tau_graph
+from quotassign.axioms import _cycle, _tau, is_envy_free, is_weakly_envy_free, tau_graph
 from quotassign.decompose import Lottery, decompose
 from quotassign.eating import run_pslq
 from quotassign.priority import run_priolq, run_rplq_exact
 
 from goldens import RPLQ_LOWER_QUOTAS, market_lower_quotas, mat
 from oracles import (
+    cycle_by_recursion,
     envy_free_by_pairs,
     expectation_by_dense_sum,
     tau_graph_by_triples,
@@ -27,6 +28,8 @@ def _same_audits(R, prefs):
     assert is_envy_free(R, prefs) == envy_free_by_pairs(R, prefs)
     assert is_weakly_envy_free(R, prefs) == weakly_envy_free_by_pairs(R, prefs)
     assert tau_graph(R, prefs) == tau_graph_by_triples(R, prefs)
+    graph = _tau(R, prefs)
+    assert _cycle(*graph) == cycle_by_recursion(*graph)
 
 
 @settings(max_examples=200, deadline=None)
@@ -80,26 +83,21 @@ def test_failing_inputs_name_the_smallest_envied_student():
 
 
 @st.composite
-def fractional_lotteries(draw, max_terms=5, max_n=5, max_k=4):
-    """Lotteries whose term entries are arbitrary multiples of 1/d, zeros,
-    ints and negative entries included."""
+def pick_lotteries(draw, max_terms=8, max_n=6, max_k=5):
+    """Lotteries over random picks, with int and Fraction weights, terms
+    repeated and projects that no term picks included."""
     n = draw(st.integers(1, max_n))
     k = draw(st.integers(1, max_k))
     shares = draw(st.lists(st.integers(1, 9), min_size=1, max_size=max_terms))
-    entry = st.one_of(
-        st.just(0),
-        st.integers(-2, 2),
-        st.builds(Fraction, st.integers(-5, 12), st.integers(1, 8)),
-    )
-    matrix = st.lists(
-        st.lists(entry, min_size=k, max_size=k).map(tuple), min_size=n, max_size=n
-    ).map(tuple)
-    return Lottery(tuple((Fraction(s, sum(shares)), draw(matrix)) for s in shares))
+    picks = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple)
+    if len(shares) == 1:
+        return Lottery(k, ((1, draw(picks)),))
+    return Lottery(k, tuple((Fraction(s, sum(shares)), draw(picks)) for s in shares))
 
 
 @settings(max_examples=300, deadline=None)
-@given(lottery=fractional_lotteries())
-def test_expectation_equals_the_dense_sum_on_fractional_terms(lottery):
+@given(lottery=pick_lotteries())
+def test_expectation_equals_the_dense_sum_on_random_picks(lottery):
     assert lottery.expectation() == expectation_by_dense_sum(lottery)
 
 
@@ -109,3 +107,33 @@ def test_expectation_equals_the_dense_sum_on_decompositions(market):
     lottery = decompose(run_pslq(market), market)
     expected = expectation_by_dense_sum(lottery)
     assert lottery.expectation() == expected == run_pslq(market)
+
+
+@st.composite
+def digraphs(draw, max_k=9):
+    """(edges, successors) as `_tau` gives them: a random edge dict over k
+    nodes, no self-loops, each edge with a witness, successors sorted."""
+    k = draw(st.integers(1, max_k))
+    pairs = [(p, q) for p in range(k) for q in range(k) if p != q]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * k)) if pairs else []
+    edges = {pair: draw(st.integers(0, 5)) for pair in chosen}
+    successors = [[] for _ in range(k)]
+    for p, q in sorted(edges):
+        successors[p].append(q)
+    return edges, successors
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph=digraphs())
+def test_cycle_equals_the_recursive_search(graph):
+    assert _cycle(*graph) == cycle_by_recursion(*graph)
+
+
+def test_cycle_search_diff_sees_both_outcomes():
+    # the same first cycle, entered through a tail, and an acyclic graph
+    edges = {(0, 1): 4, (1, 2): 5, (2, 3): 6, (3, 1): 7, (0, 3): 8}
+    successors = [[1, 3], [2], [3], [1]]
+    assert _cycle(edges, successors) == cycle_by_recursion(edges, successors) == ((1, 2, 3), (5, 6, 7))
+    del edges[(3, 1)]
+    successors[3] = []
+    assert _cycle(edges, successors) is cycle_by_recursion(edges, successors) is None

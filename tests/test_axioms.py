@@ -455,3 +455,20 @@ def test_three_cycle_witness():
     assert (witness.kind, witness.projects, witness.students) == (TAU_CYCLE, (0, 1, 2), (0, 1, 2))
     assert witness.delta == 1
     assert witness.improved == mat("1 0 0", "0 1 0", "0 0 1")
+
+
+def test_a_deep_tau_path_is_searched_within_the_recursion_limit():
+    # student i ranks project i-1 first, then i, and holds i: the tau graph
+    # is the path 0 -> 1 -> ... -> 1199, deeper than the default recursion
+    # limit, and every project is full, so no wasteful chain starts anywhere
+    k = 1200
+    zero, one = Fraction(0), Fraction(1)
+    prefs = [
+        [i - 1, i] + [p for p in range(k) if p not in (i - 1, i)] if i else list(range(k))
+        for i in range(k)
+    ]
+    market = Market([f"p{p}" for p in range(k)], [0] * k, [1] * k, prefs)
+    R = tuple(tuple(one if p == i else zero for p in range(k)) for i in range(k))
+    assert len(tau_graph(R, market.prefs)) == k - 1
+    assert find_tau_cycle(R, market.prefs) is None
+    assert is_ordinally_efficient(R, market) == (True, None)

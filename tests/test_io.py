@@ -33,6 +33,7 @@ from goldens import (
     market_thirds,
     market_thirds_misreport,
 )
+from oracles import expanded_terms
 
 # the decomposition needs integer quotas, which every golden but the thirds has
 INTEGER_GOLDEN_MARKETS = [
@@ -203,8 +204,10 @@ def test_lottery_round_trip(golden):
         )
         for term in doc["terms"]
     )
-    assert Lottery(terms) == lottery
-    assert Lottery(terms).expectation() == assignment
+    assert terms == expanded_terms(lottery)
+    read = Lottery(market.k, tuple((w, tuple(row.index(1) for row in m)) for w, m in terms))
+    assert read == lottery
+    assert read.expectation() == assignment
 
 
 def test_render_table():

@@ -1,3 +1,4 @@
+import importlib
 import time
 from fractions import Fraction
 
@@ -109,6 +110,22 @@ def test_market_rejects_a_string_ranking(ranking):
         Market(["a", "b"], [0, 0], [None, None], [ranking, ["a", "b"]])
 
 
+@pytest.mark.parametrize(
+    "field, args",
+    [
+        ("projects", ("ab", [0, 0], [None, None], [[0, 1]])),
+        ("projects", (b"ab", [0, 0], [None, None], [[0, 1]])),
+        ("lower", (["a", "b"], "00", [None, None], [[0, 1]])),
+        ("upper", (["a", "b"], [0, 0], "11", [[0, 1]])),
+        ("projects", ("ab", "00", [None, None], [[0, 1]])),
+    ],
+)
+def test_market_rejects_a_string_for_projects_or_quotas(field, args):
+    # letter by letter "ab" would read as projects ("a", "b"), "00" as (0, 0)
+    with pytest.raises(MarketError, match=f"{field} must be a list, not"):
+        Market(*args)
+
+
 def test_integer_quota_detection():
     assert market_lower_quotas().has_integer_quotas()
     m = Market(["a", "b"], [0, "1/2"], [None, None], [["a", "b"], ["b", "a"]])
@@ -202,7 +219,7 @@ def test_public_api_is_pinned():
         "find_wasteful_chain", "is_envy_free", "is_ml_fair", "is_mqc_efficient",
         "is_ordinally_efficient", "is_weakly_envy_free", "sd_dominates", "tau_graph",
         # decompose
-        "Lottery", "decompose", "extract_extreme_point",
+        "Lottery", "decompose",
         # marketio
         "GeneratorConfig", "decimal_string", "generate_market", "parse_assignment",
         "parse_market", "render", "serialize_assignment", "serialize_market",
@@ -212,11 +229,15 @@ def test_public_api_is_pinned():
         "misreport_outcomes", "search_manipulation", "verify_weak_sp",
     }
     # the matrix-state eating step API, the unused menu pick and the rank table
-    # left, and trace and lottery documents are written only
+    # left, trace and lottery documents are written only, and a lottery term
+    # is its picks, so the extreme point has no public matrix form
     gone = {
         "EatingState", "initial_state", "next_event", "active_projects", "choice",
         "parse_trace", "parse_lottery", "serialize_trace", "serialize_lottery",
-        "PHASE_EVENTS",
+        "PHASE_EVENTS", "extract_extreme_point", "_unit_rows", "_reject_bad_input",
     }
-    assert gone.isdisjoint(dir(quotassign) + dir(quotassign.eating) + dir(quotassign.marketio))
+    decompose_module = importlib.import_module("quotassign.decompose")
+    assert gone.isdisjoint(
+        dir(quotassign) + dir(quotassign.eating) + dir(quotassign.marketio) + dir(decompose_module)
+    )
     assert not hasattr(quotassign.Market(["a"], [0], [None], [["a"]]), "rank")

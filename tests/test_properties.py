@@ -18,6 +18,7 @@ from quotassign.model import column_sums, is_feasible, is_integral
 from quotassign.priority import clone_market, run_rplq_exact
 
 from conftest import random_market
+from oracles import expanded_terms
 
 shares = st.fractions(min_value=0, max_value=1, max_denominator=6)
 
@@ -122,7 +123,7 @@ def test_decomposition_reconstructs_exactly(market):
         1 for total in column_sums(matrix) if total.denominator > 1
     )
     assert len(lottery) <= fractional_entries + fractional_columns + 1
-    for _, term in lottery.terms:
+    for _, term in expanded_terms(lottery):
         assert is_integral(term)
         assert is_feasible(term, market)
 
