@@ -1,26 +1,26 @@
 """Simultaneous-eating mechanism under lower and upper quotas (PSLQ).
 
 Students eat probability mass from their favorite *active* project at unit
-speed over the time interval [0, 1]. A project is active while it either
-still needs mass to reach its lower quota, or has spare upper capacity and
-the feasibility reserve
+speed over the time interval [0, 1]. The active set is PrioLQ's menu rule
+(see `priority._pick`) on eaten masses: every project below its upper quota
+while the feasibility reserve
 
     g(t) = n*(1 - t) - sum_p max(l(p) - omega_p(t), 0)
 
-is strictly positive (omega_p is the project's consumed mass). The reserve
-counts how much eating time is left beyond what the unfilled lower quotas
-still require; once it hits zero, all remaining eating must go to
-quota-deficient projects.
+is strictly positive (omega_p is the project's consumed mass), and only the
+projects below their lower quota once it is not. The reserve counts how
+much eating time is left beyond what the unfilled lower quotas still
+require; once it hits zero, all remaining eating must go to quota-deficient
+projects.
 
 The run is a sequence of phases with a frozen eating pattern. A phase ends
 when either some project exhausts its upper quota, or the reserve is about
-to go negative (the "critical shift", at which every project already at or
-above its lower quota closes). Within a frozen pattern g is piecewise
-linear and non-increasing, so the critical time is computed exactly as the
-first zero of g with strictly negative outgoing slope. After each event the
-active set is recomputed directly from the definition above, which also
-resolves simultaneous exhaust-and-shift events (the reserve clause fails,
-so exactly the quota-deficient projects survive).
+to go negative (the "critical shift"). Within a frozen pattern g is
+piecewise linear, concave and non-increasing, so the critical time is one
+walk over the times at which eaten projects fill their lower quotas. After
+each event the active set is recomputed from the rule above, and the
+projects leaving it are the ones the event closed, also when an
+exhaustion and a shift coincide.
 
 The run keeps no n x k matrix while it eats. Every event depends only on
 the k eaten masses omega_p and on how many students eat each project, so
@@ -81,19 +81,18 @@ class EatingTrace:
     critical_time: Optional[Fraction]  # first critical-shift time, if any
 
 
-def _residuals(omega: Sequence[Fraction], market: Market) -> list:
-    return [max(market.lower[p] - omega[p], Fraction(0)) for p in range(market.k)]
+def _reserve(t: Fraction, omega: Sequence[Fraction], market: Market) -> Fraction:
+    """g(t) = n*(1 - t) - sum_p max(l(p) - omega_p, 0)."""
+    return market.n * (1 - t) - sum(
+        lo - eaten for lo, eaten in zip(market.lower, omega) if eaten < lo
+    )
 
 
 def _active_set(t: Fraction, omega: Sequence[Fraction], market: Market) -> frozenset:
-    reserve_open = market.n * (1 - t) > sum(_residuals(omega, market))
-    active = set()
-    for p in range(market.k):
-        if omega[p] < market.lower[p]:
-            active.add(p)
-        elif omega[p] < market.upper[p] and reserve_open:
-            active.add(p)
-    return frozenset(active)
+    """PrioLQ's menu rule: below the upper quota while the reserve is
+    positive, below the lower quota once it is not."""
+    caps = market.upper if _reserve(t, omega, market) > 0 else market.lower
+    return frozenset(p for p in range(market.k) if omega[p] < caps[p])
 
 
 def _critical_event(
@@ -101,40 +100,30 @@ def _critical_event(
 ) -> Optional[Fraction]:
     """First time in (t, 1) where the reserve would turn negative, if any.
 
-    Under the frozen pattern, each residual max(l(p) - omega_p - counts[p]*d, 0)
-    is piecewise linear in the phase offset d with one breakpoint; the reserve
-    g is therefore piecewise linear and non-increasing. Walk its segments and
-    return the first point where g = 0 and the outgoing slope is negative.
+    Under the frozen pattern g falls at rate n minus the eaters of
+    quota-deficient projects, and a project stops counting once it fills
+    its lower quota. Walking the fills in time order, g is concave and
+    non-increasing, so one check at the phase start covers every segment.
+    Return the first zero of g with strictly negative outgoing slope.
     """
-    n = market.n
     budget = 1 - t
-    residuals = _residuals(omega, market)
-    breakpoints = sorted(
-        {
-            residuals[p] / counts[p]
-            for p in range(market.k)
-            if residuals[p] > 0 and counts[p] > 0 and residuals[p] / counts[p] < budget
-        }
+    fills = sorted(
+        ((market.lower[p] - omega[p]) / count, count)
+        for p, count in enumerate(counts)
+        if count and omega[p] < market.lower[p]
     )
-    g = n * budget - sum(residuals)
+    g = _reserve(t, omega, market)
+    slope = sum(count for _, count in fills) - market.n
+    if g < 0 or slope > 0:
+        raise InternalError(f"eating reserve at t={t} is {g} with slope {slope}")
     start = Fraction(0)
-    for end in breakpoints + [budget]:
-        # residuals still positive just beyond `start`
-        slope = -n + sum(
-            counts[p]
-            for p in range(market.k)
-            if residuals[p] - counts[p] * start > 0
-        )
-        if g < 0 or slope > 0:
-            raise InternalError(f"eating reserve at t={t + start} is {g} with slope {slope}")
-        if g == 0:
-            if slope < 0:
-                return t + start
-        elif slope < 0:
-            crossing = start + g / (-slope)
+    for end, count in [fill for fill in fills if fill[0] < budget] + [(budget, 0)]:
+        if slope < 0:
+            crossing = start + g / -slope
             if crossing < end:
                 return t + crossing
         g += slope * (end - start)
+        slope -= count
         start = end
     return None
 
@@ -146,41 +135,26 @@ def _end_phase(
     omega and the number of students eating each project; advances omega
     in place to t_next.
 
-    Returns (t_next, kind, closing): the exact event time, its kind
-    (EXHAUSTION, CRITICAL_SHIFT, or EPOCH_END when the run simply reaches
-    t = 1), and the frozenset of projects leaving the active set. At an
+    Returns (t_next, kind): the exact event time and its kind (EXHAUSTION,
+    CRITICAL_SHIFT, or EPOCH_END when the run simply reaches t = 1). At an
     exhaustion time equal to the critical time, the critical shift takes
-    precedence; its closing rule removes exhausted projects as well.
+    precedence.
     """
-    exhaust_t = None
-    for p in active:
-        if counts[p] > 0:
-            hit = t + (market.upper[p] - omega[p]) / counts[p]
-            if hit <= 1 and (exhaust_t is None or hit < exhaust_t):
-                exhaust_t = hit
+    # every student eats some active project, so the min has an argument
+    exhaust_t = min(t + (market.upper[p] - omega[p]) / counts[p] for p in active if counts[p])
     critical_t = _critical_event(t, omega, counts, market)
-
-    if critical_t is not None and (exhaust_t is None or critical_t <= exhaust_t):
-        t_next = critical_t
-        kind = CRITICAL_SHIFT
-    elif exhaust_t is not None:
-        t_next = exhaust_t
-        kind = EXHAUSTION
+    if critical_t is not None and critical_t <= exhaust_t:
+        t_next, kind = critical_t, CRITICAL_SHIFT
+    elif exhaust_t <= 1:
+        t_next, kind = exhaust_t, EXHAUSTION
     else:
-        t_next = Fraction(1)
-        kind = EPOCH_END
+        t_next, kind = Fraction(1), EPOCH_END
 
     duration = t_next - t
     for p, count in enumerate(counts):
         if count:
             omega[p] += count * duration
-    if kind == CRITICAL_SHIFT:
-        closing = frozenset(p for p in active if omega[p] >= market.lower[p])
-    elif kind == EXHAUSTION:
-        closing = frozenset(p for p in active if omega[p] == market.upper[p])
-    else:
-        closing = frozenset(active)
-    return t_next, kind, closing
+    return t_next, kind
 
 
 def run_pslq_traced(market: Market) -> tuple:
@@ -213,7 +187,19 @@ def run_pslq_traced(market: Market) -> tuple:
             position[i] = j
             eating[i] = ranking[j]
             eaters[ranking[j]].append(i)
-        t_next, kind, closing = _end_phase(t, omega, [len(e) for e in eaters], active, market)
+        t_next, kind = _end_phase(t, omega, [len(e) for e in eaters], active, market)
+        if t_next < 1:
+            still_active = _active_set(t_next, omega, market)
+            if not still_active < active:
+                raise InternalError(f"eating event at t={t_next} closed no project")
+            closed = active - still_active
+        else:
+            # every eater records their entry, but an exhaustion lists only
+            # the exhausted projects as closed
+            still_active = frozenset()
+            closed = active if kind == EPOCH_END else frozenset(
+                p for p in active if omega[p] == market.upper[p]
+            )
         phases.append(
             EatingPhase(
                 start=t,
@@ -221,17 +207,11 @@ def run_pslq_traced(market: Market) -> tuple:
                 active=tuple(sorted(active)),
                 pattern=tuple(eating),
                 event=kind,
-                closed=tuple(sorted(closing)),
+                closed=tuple(sorted(closed)),
             )
         )
         if kind == CRITICAL_SHIFT and critical_time is None:
             critical_time = t_next
-        if t_next == 1:
-            still_active = frozenset()
-        else:
-            still_active = _active_set(t_next, omega, market)
-            if not still_active < active:
-                raise InternalError(f"eating event at t={t_next} closed no project")
         # only the eaters of closed projects record their entry and move on
         movers = []
         for p in active - still_active:

@@ -226,12 +226,22 @@ def feasibility_violations(mat: Matrix, market: Market) -> list:
     Raises
     ------
     ValueError
-        If the matrix dimensions do not match the market.
+        If the matrix dimensions do not match the market, or an entry is
+        not an int or a Fraction (a float or a bool is no exact entry).
     """
     if len(mat) != market.n or any(len(row) != market.k for row in mat):
         raise ValueError(
             f"matrix dimensions do not match market (want {market.n}x{market.k})"
         )
+    # one set of entry types first: the per-entry walk only names the culprit
+    if not {type(x) for row in mat for x in row} <= {int, Fraction}:
+        for i, row in enumerate(mat):
+            for j, x in enumerate(row):
+                if type(x) not in (int, Fraction):
+                    raise ValueError(
+                        f"entry for student {i + 1}, project {market.projects[j]}"
+                        f" is {x!r}, not an int or a Fraction"
+                    )
     violations = []
     # one pass: row totals and column sums together, zero entries skipped
     columns = [Fraction(0)] * market.k

@@ -161,8 +161,8 @@ def run_rplq_sampled(market: Market, samples: int, seed: int) -> RplqResult:
     Entries are exact rationals with denominator dividing `samples`, rows
     sum to exactly 1, and results are reproducible for a fixed seed.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be at least 1 and an int, not {samples!r}")
     lower, upper = _integer_quotas(market)
     rng = random.Random(seed)
     totals = [[0] * market.k for _ in range(market.n)]
@@ -189,8 +189,8 @@ def clone_market(market: Market, q: int) -> tuple:
     the cloned students back to an n x k matrix by summing clone rows; rows
     of the aggregate of a feasible assignment each sum to q.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+        raise ValueError(f"q must be at least 1 and an int, not {q!r}")
     caps = market.declared_upper()
     if not sum(market.lower) <= q * market.n or (
         None not in caps and q * market.n > sum(caps)

@@ -2,13 +2,17 @@
 
 Deliberately written from the definitions, sharing no code with the package
 internals beyond the Market container, so that agreement is evidence rather
-than tautology. The two exceptions are `pslq_by_full_matrix`, the earlier
-full-matrix eating loop, which reuses the package's private active-set and
-phase-event rule (`_active_set`, `_end_phase`), and
-`decompose_by_renormalising`, the earlier peel loop, which reuses the
-package's feasibility check (see their docstrings). `choice`, a student's
-best project within a menu, and `extreme_point_by_bfs`, the earlier flow
-that ran one breadth-first search per augmenting path, are the oracles' own.
+than tautology. The one exception is `decompose_by_renormalising`, the
+earlier peel loop, which reuses the package's feasibility check (see its
+docstring). `choice`, a student's best project within a menu, and
+`extreme_point_by_bfs`, the earlier flow that ran one breadth-first search
+per augmenting path, are the oracles' own.
+
+`pslq_by_full_matrix` is the earlier full-matrix eating loop on the earlier
+phase-event rule: the active set as a two-clause union
+(`active_set_by_clauses`), the critical time by re-summing the reserve's
+slope on every segment (`critical_event_by_segments`), and a closing rule
+per event kind (`end_phase_by_segments`).
 
 The envy audits, `tau_graph`, `Lottery.expectation` and the tau-cycle search
 are checked against their earlier loops: every row pair in Fractions, every
@@ -19,8 +23,9 @@ over the terms expanded to 0/1 matrices, and a recursive depth-first search.
 import itertools
 import math
 from fractions import Fraction
+from typing import Optional, Sequence
 
-from quotassign.eating import CRITICAL_SHIFT, EatingPhase, EatingTrace, _active_set, _end_phase
+from quotassign.eating import CRITICAL_SHIFT, EPOCH_END, EXHAUSTION, EatingPhase, EatingTrace
 from quotassign.model import InternalError, Market, column_sums, feasibility_violations
 
 
@@ -132,29 +137,134 @@ def pareto_by_enumeration(mu, market: Market):
     return True, None
 
 
+def residuals_by_definition(omega: Sequence[Fraction], market: Market) -> list:
+    return [max(market.lower[p] - omega[p], Fraction(0)) for p in range(market.k)]
+
+
+def active_set_by_clauses(t: Fraction, omega: Sequence[Fraction], market: Market) -> frozenset:
+    reserve_open = market.n * (1 - t) > sum(residuals_by_definition(omega, market))
+    active = set()
+    for p in range(market.k):
+        if omega[p] < market.lower[p]:
+            active.add(p)
+        elif omega[p] < market.upper[p] and reserve_open:
+            active.add(p)
+    return frozenset(active)
+
+
+def critical_event_by_segments(
+    t: Fraction, omega: Sequence[Fraction], counts: Sequence[int], market: Market
+) -> Optional[Fraction]:
+    """First time in (t, 1) where the reserve would turn negative, if any.
+
+    Under the frozen pattern, each residual max(l(p) - omega_p - counts[p]*d, 0)
+    is piecewise linear in the phase offset d with one breakpoint; the reserve
+    g is therefore piecewise linear and non-increasing. Walk its segments and
+    return the first point where g = 0 and the outgoing slope is negative.
+    """
+    n = market.n
+    budget = 1 - t
+    residuals = residuals_by_definition(omega, market)
+    breakpoints = sorted(
+        {
+            residuals[p] / counts[p]
+            for p in range(market.k)
+            if residuals[p] > 0 and counts[p] > 0 and residuals[p] / counts[p] < budget
+        }
+    )
+    g = n * budget - sum(residuals)
+    start = Fraction(0)
+    for end in breakpoints + [budget]:
+        # residuals still positive just beyond `start`
+        slope = -n + sum(
+            counts[p]
+            for p in range(market.k)
+            if residuals[p] - counts[p] * start > 0
+        )
+        if g < 0 or slope > 0:
+            raise InternalError(f"eating reserve at t={t + start} is {g} with slope {slope}")
+        if g == 0:
+            if slope < 0:
+                return t + start
+        elif slope < 0:
+            crossing = start + g / (-slope)
+            if crossing < end:
+                return t + crossing
+        g += slope * (end - start)
+        start = end
+    return None
+
+
+def end_phase_by_segments(
+    t: Fraction, omega: list, counts: Sequence[int], active: frozenset, market: Market
+) -> tuple:
+    """When and how the phase starting at t ends, given the eaten masses
+    omega and the number of students eating each project; advances omega
+    in place to t_next.
+
+    Returns (t_next, kind, closing): the exact event time, its kind
+    (EXHAUSTION, CRITICAL_SHIFT, or EPOCH_END when the run simply reaches
+    t = 1), and the frozenset of projects leaving the active set. At an
+    exhaustion time equal to the critical time, the critical shift takes
+    precedence; its closing rule removes exhausted projects as well.
+    """
+    exhaust_t = None
+    for p in active:
+        if counts[p] > 0:
+            hit = t + (market.upper[p] - omega[p]) / counts[p]
+            if hit <= 1 and (exhaust_t is None or hit < exhaust_t):
+                exhaust_t = hit
+    critical_t = critical_event_by_segments(t, omega, counts, market)
+
+    if critical_t is not None and (exhaust_t is None or critical_t <= exhaust_t):
+        t_next = critical_t
+        kind = CRITICAL_SHIFT
+    elif exhaust_t is not None:
+        t_next = exhaust_t
+        kind = EXHAUSTION
+    else:
+        t_next = Fraction(1)
+        kind = EPOCH_END
+
+    duration = t_next - t
+    for p, count in enumerate(counts):
+        if count:
+            omega[p] += count * duration
+    if kind == CRITICAL_SHIFT:
+        closing = frozenset(p for p in active if omega[p] >= market.lower[p])
+    elif kind == EXHAUSTION:
+        closing = frozenset(p for p in active if omega[p] == market.upper[p])
+    else:
+        closing = frozenset(active)
+    return t_next, kind, closing
+
+
 def pslq_by_full_matrix(market: Market):
     """PSLQ with the whole n x k consumption matrix as its state.
 
     Every phase sums the matrix's columns and counts each project's eaters
-    for the event (the package's private `_end_phase`), adds the phase to
-    every row, recomputes the active set from the matrix's column sums
-    (`_active_set`) and lets every student choose again. It shares the
-    phase-event rule with the package on purpose: agreement with
-    `run_pslq_traced` checks the k-vector bookkeeping (eaten masses,
-    per-student start times, only the eaters of closed projects moving).
-    The rule itself is checked against `discrete_eating` and
-    `classical_ps`. Returns (assignment, trace).
+    for the event (`end_phase_by_segments`, whose closing rule per event
+    kind names the trace's closed projects), adds the phase to every row,
+    recomputes the active set from the matrix's column sums
+    (`active_set_by_clauses`) and lets every student choose again. It
+    shares no event code with the package, so agreement with
+    `run_pslq_traced` checks both the package's event rule and its k-vector
+    bookkeeping (eaten masses, per-student start times, only the eaters of
+    closed projects moving). The package is also checked against
+    `discrete_eating` and `classical_ps`. Returns (assignment, trace).
     """
     n, k = market.n, market.k
     rows = [[Fraction(0)] * k for _ in range(n)]
     t = Fraction(0)
-    active = _active_set(t, [Fraction(0)] * k, market)
+    active = active_set_by_clauses(t, [Fraction(0)] * k, market)
     phases = []
     critical_time = None
     while t < 1:
         pattern = tuple(choice(market.prefs, i, active) for i in range(n))
         counts = [pattern.count(p) for p in range(k)]
-        t_next, kind, closing = _end_phase(t, list(column_sums(rows)), counts, active, market)
+        t_next, kind, closing = end_phase_by_segments(
+            t, list(column_sums(rows)), counts, active, market
+        )
         for i, p in enumerate(pattern):
             rows[i][p] += t_next - t
         phases.append(
@@ -171,7 +281,7 @@ def pslq_by_full_matrix(market: Market):
             critical_time = t_next
         if t_next == 1:
             break
-        still_active = _active_set(t_next, column_sums(rows), market)
+        still_active = active_set_by_clauses(t_next, column_sums(rows), market)
         if not still_active < active:
             raise InternalError(f"eating event at t={t_next} closed no project")
         active = still_active

@@ -226,6 +226,13 @@ def test_ordinal_efficiency_rejects_infeasible():
         is_ordinally_efficient(mat("1 0 0", "1 0 0"), market_chain())
 
 
+def test_ordinal_efficiency_rejects_float_entries():
+    # used to return a witness with delta=0.5
+    m = Market(["a", "b"], [0, 0], [None, None], [["a", "b"], ["b", "a"]])
+    with pytest.raises(ValueError, match="is 0.5, not an int or a Fraction"):
+        is_ordinally_efficient(((0.5, 0.5), (0.5, 0.5)), m)
+
+
 def test_checker_agrees_with_improvement_fixpoint():
     # iterate the checker's own witnesses to a fixpoint; inefficiency of the
     # input is equivalent to the fixpoint differing from it

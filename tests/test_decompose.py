@@ -163,6 +163,13 @@ def test_decompose_rejects_infeasible_assignment():
         decompose(mat("1 0 0", "1 0 0", "1 0 0", "1 0 0"), m)
 
 
+def test_decompose_rejects_float_entries():
+    # used to fail only later, when Lottery rejected the float weights
+    m = Market(["a", "b"], [0, 0], [None, None], [["a", "b"], ["b", "a"]])
+    with pytest.raises(ValueError, match="is 0.5, not an int or a Fraction"):
+        decompose(((0.5, 0.5), (0.5, 0.5)), m)
+
+
 def test_lottery_validates_weights():
     term = (0, 1)
     with pytest.raises(ValueError, match="sum"):

@@ -1,7 +1,10 @@
 """The k-vector eating loop against the full-matrix loop it replaced
 (tests/oracles.py): identical assignments and traces, as exact Fractions;
-and the invariants every trace keeps, checked directly."""
+its active set and critical time alone against the earlier event rule, on
+random eating states; and the invariants every trace keeps, checked
+directly."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ from quotassign.eating import (
     CRITICAL_SHIFT,
     EPOCH_END,
     EXHAUSTION,
+    _active_set,
     _critical_event,
     run_pslq_traced,
 )
@@ -26,7 +30,7 @@ from goldens import (
     market_thirds,
     market_thirds_misreport,
 )
-from oracles import pslq_by_full_matrix
+from oracles import active_set_by_clauses, critical_event_by_segments, pslq_by_full_matrix
 from test_priority_oracles import _cover, priority_markets
 
 
@@ -60,6 +64,37 @@ def capacity_and_fraction_markets(draw, max_n=7, max_k=5):
 # tight, loose, zero-lower and uncapped integer quotas, zero-capacity
 # projects and fractional quotas
 eating_markets = st.one_of(priority_markets(max_n=7, max_k=5), capacity_and_fraction_markets())
+
+
+@st.composite
+def eating_states(draw):
+    """A market with Fraction quotas, eaten masses within the upper quotas,
+    a time in [0, 1) and eater counts summing to n: reachable or not, the
+    states both event rules must agree on."""
+    market = draw(capacity_and_fraction_markets())
+    d = draw(st.integers(1, 6))
+    omega = [min(Fraction(draw(st.integers(0, math.ceil(u * d))), d), u) for u in market.upper]
+    m = draw(st.integers(1, 6))
+    t = Fraction(draw(st.integers(0, m - 1)), m)
+    eaten = [draw(st.integers(0, market.k - 1)) for _ in range(market.n)]
+    return market, t, omega, [eaten.count(p) for p in range(market.k)]
+
+
+def _outcome(rule, *args):
+    try:
+        return rule(*args)
+    except InternalError:
+        return InternalError
+
+
+@settings(max_examples=500, deadline=None)
+@given(state=eating_states())
+def test_event_rule_equals_the_rule_by_segments(state):
+    market, t, omega, counts = state
+    assert _active_set(t, omega, market) == active_set_by_clauses(t, omega, market)
+    assert _outcome(_critical_event, t, omega, counts, market) == _outcome(
+        critical_event_by_segments, t, omega, counts, market
+    )
 
 
 @settings(max_examples=300, deadline=None)

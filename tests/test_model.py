@@ -161,6 +161,20 @@ def test_feasibility_bad_rows_and_entries():
     assert any("outside [0, 1]" in line for line in report)
 
 
+def test_feasibility_rejects_float_and_bool_entries():
+    # floats used to pass the check, and 0.75 broke its message formatting
+    m = Market(["a", "b"], [0, 0], [None, None], [["a", "b"], ["b", "a"]])
+    for R, culprit in (
+        (((0.5, 0.5), (0.5, 0.5)), "student 1, project a is 0.5"),
+        (((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), 0.5)), "student 2, project b is 0.5"),
+        (((Fraction(1, 2), 0.25), (Fraction(1, 2), 0.75)), "student 1, project b is 0.25"),
+        (((True, 0), (0, True)), "student 1, project a is True"),
+    ):
+        with pytest.raises(ValueError, match=f"{culprit}, not an int or a Fraction"):
+            feasibility_violations(R, m)
+    assert feasibility_violations(((1, 0), (Fraction(0), Fraction(1))), m) == []
+
+
 def test_feasibility_dimension_mismatch():
     with pytest.raises(ValueError, match="dimensions"):
         feasibility_violations(CHAIN_MATRIX, market_five())

@@ -150,6 +150,17 @@ def test_rplq_sampled_rejects_zero_samples():
         run_rplq_sampled(market_no_quotas(), samples=0, seed=1)
 
 
+def test_counts_must_be_ints_of_at_least_one():
+    # True used to run one sample (reporting samples=True) and clone once;
+    # 2.0 failed with a TypeError
+    m = market_no_quotas()
+    for count in (True, False, 2.0, 1.0, -1, "2", None):
+        with pytest.raises(ValueError, match=f"samples must be at least 1 and an int, not {count!r}"):
+            run_rplq_sampled(m, count, 0)
+        with pytest.raises(ValueError, match=f"q must be at least 1 and an int, not {count!r}"):
+            clone_market(m, count)
+
+
 def test_clone_identity():
     m = market_lower_quotas()
     cloned, aggregate = clone_market(m, 1)
