@@ -11,11 +11,21 @@ axiom checkers, decomposition) works on two matrix shapes:
 No floating point is used anywhere in the core; all quantities are exact
 rationals. Matrices are plain tuples of tuples so they hash and compare
 structurally.
+
+Mechanism outputs hold few distinct values, most of them zero. The
+feasibility check and the column sums therefore type, range-test and split
+each distinct entry object once (keyed by ``id``), and do their per-entry
+work on ints: a row's numerators over the lcm of its own denominators, a
+column's count of each entry, numerators added per denominator, with
+`Fraction` addition only across denominators.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -191,15 +201,20 @@ def matrix(rows: Iterable[Iterable[RationalLike]]) -> Matrix:
 
 
 def column_sums(mat: Matrix) -> tuple:
-    """The column sums of a matrix, as Fractions; zero entries are skipped."""
+    """The column sums of a matrix, as Fractions.
+
+    Raises
+    ------
+    ValueError
+        If the rows differ in length, or an entry is not an int or a
+        Fraction (a float or a bool is no exact entry).
+    """
     if not mat:
         return ()
-    sums = [Fraction(0)] * len(mat[0])
-    for row in mat:
-        for j, x in enumerate(row):
-            if x:
-                sums[j] += x
-    return tuple(sums)
+    k = len(mat[0])
+    if any(len(row) != k for row in mat):
+        raise ValueError("matrix rows differ in length")
+    return tuple(_column_sums(mat, _nonzero_parts(mat, range(1, k + 1))))
 
 
 def is_integral(mat: Matrix) -> bool:
@@ -215,13 +230,53 @@ def assigned_project(row: Row) -> int:
     raise ValueError("row has no assigned project")
 
 
+def _nonzero_parts(mat: Matrix, projects: Sequence) -> dict:
+    """(numerator, denominator) of every distinct nonzero entry object of
+    the matrix, keyed by the object's ``id``.
+
+    The matrix keeps its entries alive, so their ids are stable while it
+    is in use; a matrix read by `parse_assignment` holds one object per
+    distinct string. Raises ValueError naming the first entry, in row
+    order, that is not an int or a Fraction, with `projects` naming the
+    columns.
+    """
+    flat = list(chain.from_iterable(mat))
+    entries = dict(zip(map(id, flat), flat))
+    # one set of entry types first: the per-entry walk only names the culprit
+    if not set(map(type, entries.values())) <= {int, Fraction}:
+        for i, row in enumerate(mat):
+            for j, x in enumerate(row):
+                if type(x) not in (int, Fraction):
+                    raise ValueError(
+                        f"entry for student {i + 1}, project {projects[j]}"
+                        f" is {x!r}, not an int or a Fraction"
+                    )
+    return {key: (x.numerator, x.denominator) for key, x in entries.items() if x}
+
+
+def _column_sums(mat: Matrix, parts: dict) -> list:
+    """Each column's distinct nonzero entries times their counts, numerators
+    added as ints per denominator and Fractions only across denominators."""
+    sums = []
+    for column in zip(*mat):
+        by_denominator = {}
+        for key, count in Counter(map(id, column)).items():
+            if key in parts:
+                num, den = parts[key]
+                by_denominator[den] = by_denominator.get(den, 0) + num * count
+        sums.append(sum(map(Fraction, by_denominator.values(), by_denominator), Fraction(0)))
+    return sums
+
+
 def feasibility_violations(mat: Matrix, market: Market) -> list:
     """All feasibility constraints violated by an assignment matrix.
 
     Returns a list of human-readable violation strings; empty iff the
     matrix is a feasible (deterministic or random) assignment for the
     market: entries within [0, 1], each row summing to exactly 1, and
-    each column sum within the project's quota interval.
+    each column sum within the project's quota interval. The entries out
+    of [0, 1] and the row total of each student come in student order,
+    then the columns in project order.
 
     Raises
     ------
@@ -233,43 +288,36 @@ def feasibility_violations(mat: Matrix, market: Market) -> list:
         raise ValueError(
             f"matrix dimensions do not match market (want {market.n}x{market.k})"
         )
-    # one set of entry types first: the per-entry walk only names the culprit
-    if not {type(x) for row in mat for x in row} <= {int, Fraction}:
-        for i, row in enumerate(mat):
-            for j, x in enumerate(row):
-                if type(x) not in (int, Fraction):
-                    raise ValueError(
-                        f"entry for student {i + 1}, project {market.projects[j]}"
-                        f" is {x!r}, not an int or a Fraction"
-                    )
+    parts = _nonzero_parts(mat, market.projects)
+    outside = {key for key, (num, den) in parts.items() if num < 0 or num > den}
     violations = []
-    # one pass: row totals and column sums together, zero entries skipped
-    columns = [Fraction(0)] * market.k
     for i, row in enumerate(mat):
-        total = 0
-        for j, x in enumerate(row):
-            if x:
-                if x < 0 or x > 1:
+        keys = tuple(map(id, row))
+        if outside and not outside.isdisjoint(keys):
+            for j, key in enumerate(keys):
+                if key in outside:
                     violations.append(
                         f"entry for student {i + 1}, project {market.projects[j]}"
-                        f" is {format_rational(as_rational(x))}, outside [0, 1]"
+                        f" is {format_rational(as_rational(row[j]))}, outside [0, 1]"
                     )
-                total += x
-                columns[j] += x
-        if total != 1:
+        # numerators over the lcm of the row's own nonzero denominators
+        nonzero = list(filter(None, map(parts.get, keys)))
+        common = lcm(*{den for _, den in nonzero})
+        total = sum(num * (common // den) for num, den in nonzero)
+        if total != common:
             violations.append(
-                f"row of student {i + 1} sums to {format_rational(as_rational(total))}, not 1"
+                f"row of student {i + 1} sums to {format_rational(Fraction(total, common))}, not 1"
             )
-    for j, total in enumerate(columns):
+    for j, total in enumerate(_column_sums(mat, parts)):
         name = market.projects[j]
         if total < market.lower[j]:
             violations.append(
-                f"column {name} sum {format_rational(as_rational(total))}"
+                f"column {name} sum {format_rational(total)}"
                 f" < l({name})={format_rational(market.lower[j])}"
             )
         elif total > market.upper[j]:
             violations.append(
-                f"column {name} sum {format_rational(as_rational(total))}"
+                f"column {name} sum {format_rational(total)}"
                 f" > u({name})={format_rational(market.upper[j])}"
             )
     return violations

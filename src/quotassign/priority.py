@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .model import InternalError, Market, Matrix, validate_permutation
@@ -171,9 +172,9 @@ def run_rplq_sampled(market: Market, samples: int, seed: int) -> RplqResult:
         rng.shuffle(order)
         for student, p in _priolq_picks(market.prefs, lower, upper, order):
             totals[student][p] += 1
-    assignment = tuple(
-        tuple(Fraction(t, samples) for t in row) for row in totals
-    )
+    # one Fraction per distinct count, shared by every entry holding it
+    shares = {t: Fraction(t, samples) for t in set(chain.from_iterable(totals))}
+    assignment = tuple(tuple(map(shares.__getitem__, row)) for row in totals)
     return RplqResult(assignment=assignment, mode="monte-carlo", samples=samples, seed=seed)
 
 

@@ -1,12 +1,15 @@
 """Independent oracle implementations used to cross-check the mechanisms.
 
 Deliberately written from the definitions, sharing no code with the package
-internals beyond the Market container, so that agreement is evidence rather
-than tautology. The one exception is `decompose_by_renormalising`, the
-earlier peel loop, which reuses the package's feasibility check (see its
-docstring). `choice`, a student's best project within a menu, and
-`extreme_point_by_bfs`, the earlier flow that ran one breadth-first search
-per augmenting path, are the oracles' own.
+internals beyond the Market container and rational formatting, so that
+agreement is evidence rather than tautology. `choice`, a student's best
+project within a menu, and `extreme_point_by_bfs`, the earlier flow that ran
+one breadth-first search per augmenting path, are the oracles' own.
+
+`feasibility_by_entries` and `column_sums_by_entries` are the earlier
+feasibility check and column sums: one Fraction test and one or two Fraction
+additions per entry. The oracles below that need feasibility or column sums
+use them, not the package's distinct-entry kernel.
 
 `pslq_by_full_matrix` is the earlier full-matrix eating loop on the earlier
 phase-event rule: the active set as a two-clause union
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from quotassign.eating import CRITICAL_SHIFT, EPOCH_END, EXHAUSTION, EatingPhase, EatingTrace
-from quotassign.model import InternalError, Market, column_sums, feasibility_violations
+from quotassign.model import InternalError, Market, as_rational, format_rational
 
 
 def choice(prefs, student: int, menu) -> int:
@@ -38,6 +41,78 @@ def choice(prefs, student: int, menu) -> int:
         if p in menu:
             return p
     raise ValueError("menu contains no known project")
+
+
+def column_sums_by_entries(mat) -> tuple:
+    """The column sums of a matrix, as Fractions; zero entries are skipped."""
+    if not mat:
+        return ()
+    sums = [Fraction(0)] * len(mat[0])
+    for row in mat:
+        for j, x in enumerate(row):
+            if x:
+                sums[j] += x
+    return tuple(sums)
+
+
+def feasibility_by_entries(mat, market: Market) -> list:
+    """All feasibility constraints violated by an assignment matrix.
+
+    Returns a list of human-readable violation strings; empty iff the
+    matrix is a feasible (deterministic or random) assignment for the
+    market: entries within [0, 1], each row summing to exactly 1, and
+    each column sum within the project's quota interval.
+
+    Raises
+    ------
+    ValueError
+        If the matrix dimensions do not match the market, or an entry is
+        not an int or a Fraction (a float or a bool is no exact entry).
+    """
+    if len(mat) != market.n or any(len(row) != market.k for row in mat):
+        raise ValueError(
+            f"matrix dimensions do not match market (want {market.n}x{market.k})"
+        )
+    # one set of entry types first: the per-entry walk only names the culprit
+    if not {type(x) for row in mat for x in row} <= {int, Fraction}:
+        for i, row in enumerate(mat):
+            for j, x in enumerate(row):
+                if type(x) not in (int, Fraction):
+                    raise ValueError(
+                        f"entry for student {i + 1}, project {market.projects[j]}"
+                        f" is {x!r}, not an int or a Fraction"
+                    )
+    violations = []
+    # one pass: row totals and column sums together, zero entries skipped
+    columns = [Fraction(0)] * market.k
+    for i, row in enumerate(mat):
+        total = 0
+        for j, x in enumerate(row):
+            if x:
+                if x < 0 or x > 1:
+                    violations.append(
+                        f"entry for student {i + 1}, project {market.projects[j]}"
+                        f" is {format_rational(as_rational(x))}, outside [0, 1]"
+                    )
+                total += x
+                columns[j] += x
+        if total != 1:
+            violations.append(
+                f"row of student {i + 1} sums to {format_rational(as_rational(total))}, not 1"
+            )
+    for j, total in enumerate(columns):
+        name = market.projects[j]
+        if total < market.lower[j]:
+            violations.append(
+                f"column {name} sum {format_rational(as_rational(total))}"
+                f" < l({name})={format_rational(market.lower[j])}"
+            )
+        elif total > market.upper[j]:
+            violations.append(
+                f"column {name} sum {format_rational(as_rational(total))}"
+                f" > u({name})={format_rational(market.upper[j])}"
+            )
+    return violations
 
 
 def classical_ps(market: Market):
@@ -263,7 +338,7 @@ def pslq_by_full_matrix(market: Market):
         pattern = tuple(choice(market.prefs, i, active) for i in range(n))
         counts = [pattern.count(p) for p in range(k)]
         t_next, kind, closing = end_phase_by_segments(
-            t, list(column_sums(rows)), counts, active, market
+            t, list(column_sums_by_entries(rows)), counts, active, market
         )
         for i, p in enumerate(pattern):
             rows[i][p] += t_next - t
@@ -281,7 +356,7 @@ def pslq_by_full_matrix(market: Market):
             critical_time = t_next
         if t_next == 1:
             break
-        still_active = active_set_by_clauses(t_next, column_sums(rows), market)
+        still_active = active_set_by_clauses(t_next, column_sums_by_entries(rows), market)
         if not still_active < active:
             raise InternalError(f"eating event at t={t_next} closed no project")
         active = still_active
@@ -481,7 +556,7 @@ def _step_size(assignment, extracted):
                     ratios.append(r)  # entry falls to 0 at step == r
             elif r > 0:
                 ratios.append(1 - r)  # entry climbs to 1 at step == 1 - r
-    for s, c in zip(column_sums(assignment), column_sums(extracted)):
+    for s, c in zip(column_sums_by_entries(assignment), column_sums_by_entries(extracted)):
         lo = math.floor(s)
         hi = math.ceil(s)
         if c > lo:
@@ -505,10 +580,10 @@ def decompose_by_renormalising(assignment, market: Market):
     weight = Fraction(1)
     current = assignment
     while True:
-        violations = feasibility_violations(current, market)
+        violations = feasibility_by_entries(current, market)
         if violations:
             raise ValueError("remainder is infeasible: " + "; ".join(violations))
-        sums = column_sums(current)
+        sums = column_sums_by_entries(current)
         floors = [math.floor(s) for s in sums]
         ceilings = [math.ceil(s) for s in sums]
         extracted = extreme_point_by_bfs(current, floors, ceilings)
