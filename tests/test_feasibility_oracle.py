@@ -127,7 +127,7 @@ def test_column_sums_reject_ragged_rows():
     with pytest.raises(ValueError, match="rows differ in length"):
         column_sums(((1, 0), (1,)))
     assert column_sums(()) == ()
-    assert column_sums(((0, 0),)) == (Fraction(0), Fraction(0))
+    _same_fractions(column_sums(((0, 0),)), [Fraction(0), Fraction(0)])
 
 
 def test_feasibility_on_distinct_large_denominators():
