@@ -6,15 +6,21 @@ such lottery constructively. It keeps `rest`, what the terms so far leave of
 the input, and `mass`, 1 minus their weights, and never normalises: each peel
 takes the largest weight of a deterministic assignment on the support of rest
 inside the column floor/ceiling windows of rest/mass, until no mass is left.
+
+The loop runs in ints over one denominator `scale`, the lcm of the input's
+denominators: `rest`, its column sums and `mass` count units of 1/scale.
+Every weight is a whole number of units (see `_peel_weight`), so `scale`
+never changes, and a term's weight is its units over `scale`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import InternalError, Market, Matrix, column_sums, feasibility_violations
+from .model import InternalError, Market, Matrix, feasibility_violations
 
 
 @dataclass(frozen=True)
@@ -74,11 +80,14 @@ def _extreme_point(holdings: list, floors: list, ceilings: list) -> list:
     unit yet, then the projects they hold in order of (first such holder,
     project), and stops at the first of those whose floor is unmet. While
     such a project exists, the path source -> holder -> project -> sink is
-    taken directly; `first` points each project at its first holder with no
-    unit (no path takes a student's unit back). The search finds the other
-    paths. It stops once it reaches the sink, and skips a student once it
-    has reached every project, as a student's arcs lead only to the source
-    and to projects; neither changes the path it finds.
+    taken directly. A heap holds those projects keyed by (first holder with
+    no unit, project), each with that holder's place in the project's
+    holders. Floor arcs only lose capacity and no path takes a student's
+    unit back, so a key only grows: a stale one is mended when it reaches
+    the top. The search finds the other paths. It stops once it reaches the
+    sink, and skips a student once it has reached every project, as a
+    student's arcs lead only to the source and to projects; neither changes
+    the path it finds.
     """
     n, k = len(holdings), len(floors)
     # nodes: students 0..n-1, projects n..n+k-1, then collector / super
@@ -102,34 +111,40 @@ def _extreme_point(holdings: list, floors: list, ceilings: list) -> list:
     for i, held in enumerate(holdings):
         for p in held:
             holders[p].append((i, add_arc(i, n + p, 1)))
-    floor_arcs = []
+    floor_arcs = [None] * k
     for p in range(k):
         if ceilings[p] > floors[p]:
             add_arc(n + p, collector, ceilings[p] - floors[p])
         if floors[p] > 0:
-            floor_arcs.append((p, add_arc(n + p, sink, floors[p])))
+            floor_arcs[p] = add_arc(n + p, sink, floors[p])
     add_arc(collector, sink, n)
 
     flowed = 0
-    first = [0] * k
+    heap = None  # built once the arc to the collector is full
     while True:
-        if to_collector is None or caps[to_collector] == 0:
-            best = None
-            for p, floor_arc in floor_arcs:
-                if caps[floor_arc]:
-                    line, j = holders[p], first[p]
-                    while j < len(line) and caps[2 * line[j][0]] == 0:
-                        j += 1
-                    first[p] = j
-                    if j < len(line) and (best is None or line[j][0] < best[0][0]):
-                        best = (line[j], floor_arc)
-            if best is not None:
-                (i, share), floor_arc = best
-                for a in (2 * i, share, floor_arc):
+        if heap is None and (to_collector is None or caps[to_collector] == 0):
+            heap = [(line[0][0], p, 0) for p, line in enumerate(holders)
+                    if line and floor_arcs[p] is not None]
+            heapq.heapify(heap)
+        if heap:
+            i, p, j = heap[0]
+            line = holders[p]
+            if caps[floor_arcs[p]] == 0:
+                heapq.heappop(heap)
+            elif caps[2 * i] == 0:  # stale: i has a unit now
+                j += 1
+                while j < len(line) and caps[2 * line[j][0]] == 0:
+                    j += 1
+                if j < len(line):
+                    heapq.heapreplace(heap, (line[j][0], p, j))
+                else:
+                    heapq.heappop(heap)
+            else:
+                for a in (2 * i, line[j][1], floor_arcs[p]):
                     caps[a] -= 1
                     caps[a ^ 1] += 1
                 flowed += 1
-                continue
+            continue
 
         via = [-1] * (n + k + 3)  # the arc each node was reached by
         via[source] = len(heads)  # reached, by no arc
@@ -172,22 +187,26 @@ def _extreme_point(holdings: list, floors: list, ceilings: list) -> list:
     return picks
 
 
-def _peel_weight(rest, mass: Fraction, picks: list, counts: list, sums, floors, ceilings) -> Fraction:
+def _peel_weight(rest, mass: int, picks: list, counts: list, sums, floors, ceilings) -> int:
     """Largest w keeping rest - w*x inside [0, mass - w] entrywise and every
     column sum inside (mass - w) times its floor/ceiling window, where x
     gives student i project picks[i] and counts[p] students to project p.
+    rest, mass, the sums and w are ints, in units of 1/scale.
 
     Every row of rest sums to mass, so while a row's held entry (where x
     is 1) stays nonnegative its other entries stay at most mass - w: of the
-    entries, only the held ones bound w.
+    entries, only the held ones bound w. A window is at most one wide and
+    the picks meet it, so a column bounds w only with c = lo + 1 or
+    c = hi - 1, where its ratio has denominator 1: w is a whole number of
+    units.
     """
-    ratios = [row[p] for row, p in zip(rest, picks)]  # held entry falls to 0
+    bounds = [row[p] for row, p in zip(rest, picks)]  # held entry falls to 0
     for s, c, lo, hi in zip(sums, counts, floors, ceilings):
         if c > lo:
-            ratios.append((s - mass * lo) / (c - lo))  # column falls to its floor
+            bounds.append(s - mass * lo)  # column falls to its floor
         if c < hi:
-            ratios.append((mass * hi - s) / (hi - c))  # column climbs to its ceiling
-    return min(ratios)
+            bounds.append(mass * hi - s)  # column climbs to its ceiling
+    return min(bounds)
 
 
 def decompose(assignment: Matrix, market: Market) -> Lottery:
@@ -203,16 +222,16 @@ def decompose(assignment: Matrix, market: Market) -> Lottery:
     violations = feasibility_violations(assignment, market)
     if violations:
         raise ValueError("assignment is infeasible: " + "; ".join(violations))
-    rest = [list(row) for row in assignment]
+    scale = math.lcm(*{v.denominator for row in assignment for v in row if v})
+    rest = [[v.numerator * (scale // v.denominator) for v in row] for row in assignment]
     # per student, the projects they hold a positive share of, in order
     holdings = [[p for p, v in enumerate(row) if v] for row in rest]
-    sums = list(column_sums(assignment))
-    mass = Fraction(1)
+    sums = [sum(column) for column in zip(*rest)]
+    mass = scale
     terms = []
     while mass > 0:
-        shares = [s / mass for s in sums]
-        floors = [math.floor(s) for s in shares]
-        ceilings = [math.ceil(s) for s in shares]
+        floors = [s // mass for s in sums]
+        ceilings = [-(-s // mass) for s in sums]
         picks = _extreme_point(holdings, floors, ceilings)
         counts = [0] * market.k
         for p in picks:
@@ -226,7 +245,7 @@ def decompose(assignment: Matrix, market: Market) -> Lottery:
             if c:
                 sums[p] -= c * weight
         mass -= weight
-        terms.append((weight, tuple(picks)))
+        terms.append((Fraction(weight, scale), tuple(picks)))
     if any(any(row) for row in rest):
         raise InternalError("the peeled terms do not add up to the assignment")
     return Lottery(market.k, tuple(terms))

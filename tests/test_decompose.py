@@ -1,5 +1,7 @@
 import importlib
 import itertools
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -29,7 +31,7 @@ from goldens import (
     market_thirds,
     mat,
 )
-from oracles import expanded_terms, picks_to_matrix
+from oracles import decompose_by_fractions, expanded_terms, picks_to_matrix
 
 # the package's `decompose` attribute is the function, not the module
 decompose_module = importlib.import_module("quotassign.decompose")
@@ -223,3 +225,31 @@ def test_peel_that_leaves_a_remainder_is_rejected(monkeypatch):
     monkeypatch.setattr(decompose_module, "_peel_weight", lambda rest, mass, *_: mass)
     with pytest.raises(InternalError, match="do not add up"):
         decompose(PSLQ_FIVE, market_five())
+
+
+def hostile_input(rows, digits):
+    """Four uncapped projects without lower quotas; row i is (1/d_i,
+    (d_i - 1)/d_i, 0, 0) for distinct random d_i of the given digits, so the
+    lcm of the denominators has some rows * digits digits."""
+    rng = random.Random(1)
+    ds = set()
+    while len(ds) < rows:
+        ds.add(rng.randrange(10 ** (digits - 1), 10**digits))
+    market = Market(["a", "b", "c", "d"], [0] * 4, [None] * 4, [["a", "b", "c", "d"]] * rows)
+    R = tuple((Fraction(1, d), Fraction(d - 1, d), Fraction(0), Fraction(0)) for d in sorted(ds))
+    return market, R
+
+
+def test_hostile_denominators_decompose_quickly():
+    # the earlier Fraction loop took about 8 s here, on 31,903-bit weights
+    market, R = hostile_input(200, 50)
+    start = time.perf_counter()
+    lottery = decompose(R, market)
+    assert time.perf_counter() - start < 2
+    assert len(lottery) == 201
+    assert lottery.expectation() == R
+
+
+def test_hostile_denominator_terms_equal_the_fraction_loop():
+    market, R = hostile_input(100, 50)
+    assert decompose(R, market).terms == decompose_by_fractions(R, market)

@@ -1,9 +1,12 @@
-"""The peel loop of `decompose` against the earlier renormalising loop in
-tests/oracles.py, which takes its extreme points from the earlier flow (one
-breadth-first search per augmenting path): the terms must agree exactly, in
-weights, order and the 0/1 matrices the picks expand to. The flow's picks are also diffed alone, on
-random supports and windows, short ones included."""
+"""The peel loop of `decompose` against two earlier loops in
+tests/oracles.py: the `Fraction` loop `decompose_by_fractions`, on the flow
+that scans every floor arc for each direct path, and the renormalising loop,
+which takes its extreme points from the flow with one breadth-first search
+per augmenting path. The terms must agree exactly, in weights, order and
+picks. The flow's picks are also diffed alone, on random supports and
+windows, short ones included."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,12 +34,19 @@ from goldens import (
     market_six,
     mat,
 )
-from oracles import decompose_by_renormalising, expanded_terms, extreme_point_by_bfs
+from oracles import (
+    decompose_by_fractions,
+    decompose_by_renormalising,
+    expanded_terms,
+    extreme_point_by_bfs,
+)
 from test_priority_oracles import priority_markets
 
 
 def _same_terms(R, market):
-    assert expanded_terms(decompose(R, market)) == decompose_by_renormalising(R, market)
+    lottery = decompose(R, market)
+    assert lottery.terms == decompose_by_fractions(R, market)
+    assert expanded_terms(lottery) == decompose_by_renormalising(R, market)
 
 
 @settings(max_examples=150, deadline=None)
@@ -50,6 +60,26 @@ def test_terms_equal_the_renormalising_loop(data, market):
         run_rplq_sampled(market, 7, seed).assignment,
     ):
         _same_terms(R, market)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), market=priority_markets(max_n=16, max_k=12))
+def test_terms_equal_the_fraction_loop_on_many_projects(data, market):
+    # with up to 12 projects many floors are unmet at once, so the order in
+    # which the direct paths take them matters
+    order = data.draw(st.permutations(range(market.n)))
+    seed = data.draw(st.integers(0, 2**16))
+    for R in (
+        run_pslq(market),
+        run_priolq(market, order),
+        run_rplq_sampled(market, 7, seed).assignment,
+    ):
+        lottery = decompose(R, market)
+        assert lottery.terms == decompose_by_fractions(R, market)
+        # every weight is a whole number of units of the input's lcm
+        # denominator: the peel never needs a finer unit
+        scale = math.lcm(*{v.denominator for row in R for v in row})
+        assert all((weight * scale).denominator == 1 for weight, _ in lottery.terms)
 
 
 def test_golden_terms_equal_the_renormalising_loop():
@@ -134,8 +164,8 @@ def test_flow_diff_covers_both_outcomes():
     assert not _flows_agree(support, [2, 2, 1], [2, 2, 1])
 
 
-def _cohort_market(quota_style, seed, capped=False):
-    market = generate_market(GeneratorConfig(n=60, k=8, seed=seed, quota_style=quota_style))
+def _cohort_market(quota_style, seed, capped=False, n=60, k=8):
+    market = generate_market(GeneratorConfig(n=n, k=k, seed=seed, quota_style=quota_style))
     if capped:
         market = Market(market.projects, [0] * market.k, market.declared_upper(), market.prefs)
     return market
@@ -154,6 +184,17 @@ def _cohort_market(quota_style, seed, capped=False):
     ],
 )
 def test_cohort_terms_equal_the_renormalising_loop(quota_style, capped, seed):
-    # the benchmark's cohort shapes: n=60, k=8, tight, loose and capped
+    # the benchmark's cohort shapes: n=60, k=8, tight, loose and capped;
+    # diffed against both earlier loops
     market = _cohort_market(quota_style, seed, capped)
     _same_terms(run_pslq(market), market)
+
+
+@pytest.mark.parametrize(
+    "quota_style, seed", [("integer-tight", 1), ("integer-tight", 2), ("integer-loose", 1)]
+)
+def test_twelve_project_terms_equal_the_fraction_loop(quota_style, seed):
+    # n=40, k=12: a dozen floors compete for the direct paths of each peel
+    market = _cohort_market(quota_style, seed, n=40, k=12)
+    R = run_pslq(market)
+    assert decompose(R, market).terms == decompose_by_fractions(R, market)
