@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -31,3 +32,23 @@ def random_market(rng, n=None, k=None, integer_quotas=True, max_denominator=4):
 @pytest.fixture
 def rng():
     return random.Random(20260816)
+
+
+@pytest.fixture
+def time_bound():
+    """Fail a test that runs past 60 s, where SIGALRM exists: a flow that
+    loses track of its capacities can augment for ever."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60-s bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

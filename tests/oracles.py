@@ -13,7 +13,9 @@ use them, not the package's distinct-entry kernel.
 
 `decompose_by_fractions` is the earlier peel loop of `decompose`, in
 `Fraction`s, on the earlier flow `extreme_point_by_scan`, which scans every
-floor arc for each direct path.
+floor arc for each direct path. `extreme_point_by_rebuild` is the flow
+that followed it: a fresh network per peel, with the direct paths to the
+sink taken from a heap.
 
 `pslq_by_full_matrix` is the earlier full-matrix eating loop on the earlier
 phase-event rule: the active set as a two-clause union
@@ -27,6 +29,7 @@ are checked against their earlier loops: every row pair in Fractions, every
 over the terms expanded to 0/1 matrices, and a recursive depth-first search.
 """
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -680,6 +683,131 @@ def extreme_point_by_scan(holdings: list, floors: list, ceilings: list) -> list:
                     caps[a ^ 1] += 1
                 flowed += 1
                 continue
+
+        via = [-1] * (n + k + 3)  # the arc each node was reached by
+        via[source] = len(heads)  # reached, by no arc
+        queue = [source]
+        unseen = k  # projects not reached yet; at 0 a student reaches nothing new
+        for node in queue:
+            if node < n and unseen == 0:
+                continue
+            for a in arcs[node]:
+                to = heads[a]
+                if caps[a] and via[to] < 0:
+                    via[to] = a
+                    queue.append(to)
+                    if n <= to < collector:
+                        unseen -= 1
+                    elif to == sink:
+                        break
+            if via[sink] >= 0:
+                break
+        else:
+            break
+        path = []
+        node = sink
+        while node != source:
+            path.append(via[node])
+            node = heads[via[node] ^ 1]
+        bottleneck = min(caps[a] for a in path)
+        for a in path:
+            caps[a] -= bottleneck
+            caps[a ^ 1] += bottleneck
+        flowed += bottleneck
+
+    if flowed != n + floor_total:
+        raise InternalError("no integral point in a nonempty window")
+    picks = [None] * n
+    for p, line in enumerate(holders):
+        for i, share in line:
+            if caps[share] == 0:
+                picks[i] = p
+    return picks
+
+
+def extreme_point_by_rebuild(holdings: list, floors: list, ceilings: list) -> list:
+    """The earlier flow of `decompose`, which builds a fresh network for
+    each peel and takes only the direct paths to the sink without a search.
+    One project per student, taken from holdings[i], with between
+    floors[p] and ceilings[p] students on each project p, found as an
+    integral flow: each student pushes one unit through the projects they
+    hold; the per-column window [floor, ceil] is an arc with a lower bound,
+    reduced to plain capacities via the usual excess arcs to a super
+    source/sink. A student holding one project has a single arc, so the
+    unit is forced through it.
+
+    The flow is Edmonds & Karp's: each augmenting path is the one that a
+    breadth-first search over the arcs, in insertion order, finds. Most of
+    those paths are known without the search. Once the source's arc to the
+    collector is full (or absent), the search reaches every student with no
+    unit yet, then the projects they hold in order of (first such holder,
+    project), and stops at the first of those whose floor is unmet. While
+    such a project exists, the path source -> holder -> project -> sink is
+    taken directly. A heap holds those projects keyed by (first holder with
+    no unit, project), each with that holder's place in the project's
+    holders. Floor arcs only lose capacity and no path takes a student's
+    unit back, so a key only grows: a stale one is mended when it reaches
+    the top. The search finds the other paths. It stops once it reaches the
+    sink, and skips a student once it has reached every project, as a
+    student's arcs lead only to the source and to projects; neither changes
+    the path it finds.
+    """
+    n, k = len(holdings), len(floors)
+    # nodes: students 0..n-1, projects n..n+k-1, then collector / super
+    # source / super sink; arc a runs heads[a ^ 1] -> heads[a] and arc a ^ 1
+    # is its residual twin, arcs[v] lists v's arcs in insertion order
+    collector, source, sink = n + k, n + k + 1, n + k + 2
+    heads, caps, arcs = [], [], [[] for _ in range(n + k + 3)]
+
+    def add_arc(u: int, v: int, cap: int) -> int:
+        arcs[u].append(len(heads))
+        arcs[v].append(len(heads) + 1)
+        heads.extend((v, u))
+        caps.extend((cap, 0))
+        return len(heads) - 2
+
+    for i in range(n):
+        add_arc(source, i, 1)  # arc 2 * i
+    floor_total = sum(floors)
+    to_collector = add_arc(source, collector, floor_total) if floor_total > 0 else None
+    holders = [[] for _ in range(k)]  # (student, arc) per project, students in order
+    for i, held in enumerate(holdings):
+        for p in held:
+            holders[p].append((i, add_arc(i, n + p, 1)))
+    floor_arcs = [None] * k
+    for p in range(k):
+        if ceilings[p] > floors[p]:
+            add_arc(n + p, collector, ceilings[p] - floors[p])
+        if floors[p] > 0:
+            floor_arcs[p] = add_arc(n + p, sink, floors[p])
+    add_arc(collector, sink, n)
+
+    flowed = 0
+    heap = None  # built once the arc to the collector is full
+    while True:
+        if heap is None and (to_collector is None or caps[to_collector] == 0):
+            heap = [(line[0][0], p, 0) for p, line in enumerate(holders)
+                    if line and floor_arcs[p] is not None]
+            heapq.heapify(heap)
+        if heap:
+            i, p, j = heap[0]
+            line = holders[p]
+            if caps[floor_arcs[p]] == 0:
+                heapq.heappop(heap)
+            elif caps[2 * i] == 0:  # stale: i has a unit now
+                j += 1
+                while j < len(line) and caps[2 * line[j][0]] == 0:
+                    j += 1
+                if j < len(line):
+                    heapq.heapreplace(heap, (line[j][0], p, j))
+                else:
+                    heapq.heappop(heap)
+            else:
+                for a in (2 * i, line[j][1], floor_arcs[p]):
+                    caps[a] -= 1
+                    caps[a ^ 1] += 1
+                flowed += 1
+            continue
 
         via = [-1] * (n + k + 3)  # the arc each node was reached by
         via[source] = len(heads)  # reached, by no arc

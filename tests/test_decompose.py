@@ -36,6 +36,8 @@ from oracles import decompose_by_fractions, expanded_terms, picks_to_matrix
 # the package's `decompose` attribute is the function, not the module
 decompose_module = importlib.import_module("quotassign.decompose")
 
+pytestmark = pytest.mark.usefixtures("time_bound")
+
 
 def fractional_entries(R):
     return sum(1 for row in R for r in row if r != int(r))

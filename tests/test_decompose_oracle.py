@@ -4,15 +4,18 @@ that scans every floor arc for each direct path, and the renormalising loop,
 which takes its extreme points from the flow with one breadth-first search
 per augmenting path. The terms must agree exactly, in weights, order and
 picks. The flow's picks are also diffed alone, on random supports and
-windows, short ones included."""
+windows, short ones included, and on one network driven through a sequence
+of windows and dropped entries, as `decompose` drives it, against a fresh
+build of the earlier flows for each step."""
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quotassign.decompose import _extreme_point, decompose
+from quotassign.decompose import _Network, _extreme_point, decompose
 from quotassign.eating import run_pslq
 from quotassign.marketio import GeneratorConfig, generate_market
 from quotassign.model import InternalError, Market
@@ -39,8 +42,11 @@ from oracles import (
     decompose_by_renormalising,
     expanded_terms,
     extreme_point_by_bfs,
+    extreme_point_by_rebuild,
 )
 from test_priority_oracles import priority_markets
+
+pytestmark = pytest.mark.usefixtures("time_bound")
 
 
 def _same_terms(R, market):
@@ -111,17 +117,19 @@ def test_column_windows_bound_the_weight():
     _same_terms(R, market)
 
 
-@st.composite
-def flow_inputs(draw):
-    """A 0/1 support with per-column windows: around a point planted on the
-    support, or drawn freely, where the flow often falls short."""
-    n = draw(st.integers(1, 8))
-    k = draw(st.integers(1, 5))
+def _draw_support(draw, n, k):
     support = [[0] * k for _ in range(n)]
     for row in support:
         for p in draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k)):
             row[p] = 1
-    if draw(st.booleans()):
+    return support
+
+
+def _draw_windows(draw, support):
+    """Per-column windows: around a point planted on the support, or drawn
+    freely, where the flow often falls short."""
+    n, k = len(support), len(support[0])
+    if draw(st.booleans()) and all(any(row) for row in support):
         counts = [0] * k
         for row in support:
             counts[draw(st.sampled_from([p for p in range(k) if row[p]]))] += 1
@@ -130,7 +138,14 @@ def flow_inputs(draw):
     else:
         floors = [draw(st.integers(0, n)) for _ in range(k)]
         ceilings = [lo + draw(st.integers(0, n - lo)) for lo in floors]
-    return support, floors, ceilings
+    return floors, ceilings
+
+
+@st.composite
+def flow_inputs(draw):
+    """A 0/1 support with per-column windows."""
+    support = _draw_support(draw, draw(st.integers(1, 8)), draw(st.integers(1, 5)))
+    return (support, *_draw_windows(draw, support))
 
 
 def _flows_agree(support, floors, ceilings):
@@ -153,6 +168,8 @@ def _flows_agree(support, floors, ceilings):
 @example(([[1, 1], [0, 0]], [0, 0], [2, 2]))
 # both students hold only a, whose ceiling is 1
 @example(([[1, 0], [1, 0]], [0, 0], [1, 2]))
+# student 0's unmet floor is b, the second project they hold
+@example(([[1, 1], [0, 1]], [0, 1], [1, 2]))
 def test_picks_equal_the_breadth_first_flow(inputs):
     _flows_agree(*inputs)
 
@@ -162,6 +179,35 @@ def test_flow_diff_covers_both_outcomes():
     support = [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]]
     assert _flows_agree(support, [1, 1, 1], [2, 2, 2])
     assert not _flows_agree(support, [2, 2, 1], [2, 2, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), k=st.integers(1, 5))
+def test_one_network_through_peels_equals_a_fresh_flow(data, n, k):
+    # one network, as `decompose` keeps it: each step drops some entries
+    # from the support, as peels do when held entries fall to 0, and asks
+    # for an extreme point in new windows; a fresh build of each earlier
+    # flow on the shrunk support must give the same picks, or fail too
+    support = _draw_support(data.draw, n, k)
+    network = _Network([[p for p, v in enumerate(row) if v] for row in support], k)
+    for _ in range(data.draw(st.integers(1, 6))):
+        entries = [(i, p) for i, row in enumerate(support) for p, v in enumerate(row) if v]
+        if entries:
+            for i, p in data.draw(st.sets(st.sampled_from(entries), max_size=3)):
+                support[i][p] = 0
+                network.drop(i, p)
+        floors, ceilings = _draw_windows(data.draw, support)
+        holdings = [[p for p, v in enumerate(row) if v] for row in support]
+        try:
+            expected = extreme_point_by_bfs(support, floors, ceilings)
+        except InternalError:
+            for flow in (network.extreme_point, partial(extreme_point_by_rebuild, holdings)):
+                with pytest.raises(InternalError, match="no integral point"):
+                    flow(floors, ceilings)
+            continue
+        picks = [row.index(1) for row in expected]
+        assert extreme_point_by_rebuild(holdings, floors, ceilings) == picks
+        assert network.extreme_point(floors, ceilings) == picks
 
 
 def _cohort_market(quota_style, seed, capped=False, n=60, k=8):
