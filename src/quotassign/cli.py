@@ -68,17 +68,14 @@ def _read(path: str) -> str:
 
 
 def _emit(text: str, args) -> None:
-    output = getattr(args, "output", None)
-    if output and output != "-":
-        with open(output, "w", encoding="utf-8") as handle:
+    if args.output and args.output != "-":
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
 
 
 def _market(args):
-    if not getattr(args, "input", None):
-        raise MarketError("--input is required for this command")
     return parse_market(_read(args.input))
 
 
@@ -147,7 +144,7 @@ CHECKABLE_AXIOMS = ("feasible", *AXIOMS)
 def _rplq(market, args) -> tuple:
     """Exact RPLQ unless --samples is given: the matrix and its metadata."""
     if args.samples is not None:
-        result = run_rplq_sampled(market, args.samples, args.seed or 0)
+        result = run_rplq_sampled(market, args.samples, args.seed)
         return result.assignment, {
             "mode": result.mode,
             "samples": result.samples,
@@ -332,7 +329,7 @@ def cmd_gen(args) -> int:
     cfg = GeneratorConfig(
         n=args.n,
         k=args.k,
-        seed=args.seed or 0,
+        seed=args.seed,
         quota_style=args.quota_style,
         denominator=args.denominator,
         pref_style=args.pref_style,
@@ -343,22 +340,28 @@ def cmd_gen(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="market JSON file, or '-' for stdin")
-    common.add_argument("--output", help="write the result here instead of stdout")
-    common.add_argument(
-        "--format", choices=RENDER_FORMATS, default="table", help="output format"
-    )
-    common.add_argument("--seed", type=int, help="seed for randomized commands")
-
     parser = argparse.ArgumentParser(
         prog="quotassign",
         description="random assignment mechanisms under lower and upper quotas",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", parents=[common], help="run a mechanism")
+    def command(name, handler, help, market=True):
+        cmd = sub.add_parser(name, help=help)
+        if market:
+            cmd.add_argument(
+                "--input", required=True, help="market JSON file, or '-' for stdin"
+            )
+        cmd.add_argument("--output", help="write the result here instead of stdout")
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    run = command("run", cmd_run, "run a mechanism")
     run.add_argument("mechanism", choices=("priolq", "rplq", "pslq", "multiunit"))
+    run.add_argument(
+        "--format", choices=RENDER_FORMATS, default="table", help="output format"
+    )
+    run.add_argument("--seed", type=int, default=0, help="rplq: seed of sampled orders")
     run.add_argument("--order", help="priolq: 1-based priority order, e.g. 3,4,1,2")
     run.add_argument(
         "--samples", type=int, help="rplq: Monte Carlo sample count (default: exact)"
@@ -372,9 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="pslq",
         help="multiunit: underlying mechanism",
     )
-    run.set_defaults(handler=cmd_run)
 
-    check = sub.add_parser("check", parents=[common], help="verify axioms")
+    check = command("check", cmd_check, "verify axioms")
     check.add_argument("--assignment", required=True, help="assignment JSON file")
     check.add_argument(
         "--axioms",
@@ -386,46 +388,36 @@ def _build_parser() -> argparse.ArgumentParser:
         "--master-list",
         help="ml: 1-based priority list, highest first (default 1,2,...)",
     )
-    check.set_defaults(handler=cmd_check)
 
-    dec = sub.add_parser(
-        "decompose", parents=[common], help="decompose into a lottery"
-    )
+    dec = command("decompose", cmd_decompose, "decompose into a lottery")
     dec.add_argument("--assignment", required=True, help="assignment JSON file")
     dec.add_argument(
         "--verify", action="store_true", help="re-multiply the lottery and diff"
     )
-    dec.set_defaults(handler=cmd_decompose)
 
-    lab = argparse.ArgumentParser(add_help=False)
-    lab.add_argument("--mechanism", choices=tuple(MECHANISMS), default="pslq")
-
-    man = sub.add_parser(
-        "manipulate", parents=[common, lab], help="search misreports for one student"
-    )
+    man = command("manipulate", cmd_manipulate, "search misreports for one student")
+    wsp = command("verify-wsp", cmd_verify_wsp, "verify weak strategy-proofness")
+    for lab in (man, wsp):
+        lab.add_argument("--mechanism", choices=tuple(MECHANISMS), default="pslq")
     man.add_argument("--student", type=int, required=True, help="1-based student")
-    man.set_defaults(handler=cmd_manipulate)
-
-    wsp = sub.add_parser(
-        "verify-wsp", parents=[common, lab], help="verify weak strategy-proofness"
-    )
     wsp.add_argument(
         "--strong",
         action="store_true",
         help="demand the truthful row weakly dominate every misreport row",
     )
-    wsp.set_defaults(handler=cmd_verify_wsp)
 
-    imp = sub.add_parser(
+    imp = command(
         "impossibility",
-        parents=[common],
-        help="print the built-in impossibility certificate",
+        cmd_impossibility,
+        "print the built-in impossibility certificate",
+        market=False,
     )
-    imp.set_defaults(handler=cmd_impossibility)
+    imp.add_argument(
+        "--format", choices=("table", "json"), default="table", help="output format"
+    )
 
-    gen = sub.add_parser(
-        "gen", parents=[common], help="generate a random market"
-    )
+    gen = command("gen", cmd_gen, "generate a random market", market=False)
+    gen.add_argument("--seed", type=int, default=0, help="random seed")
     gen.add_argument("--n", type=int, required=True, help="number of students")
     gen.add_argument("--k", type=int, required=True, help="number of projects")
     gen.add_argument("--quota-style", choices=QUOTA_STYLES, default="none")
@@ -436,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--weights", help="correlated preferences: comma-separated project weights"
     )
-    gen.set_defaults(handler=cmd_gen)
 
     return parser
 

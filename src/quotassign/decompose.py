@@ -225,11 +225,6 @@ class _Network:
         return picks
 
 
-def _extreme_point(holdings: list, floors: list, ceilings: list) -> list:
-    """`_Network.extreme_point` on a network built for these holdings."""
-    return _Network(holdings, len(floors)).extreme_point(floors, ceilings)
-
-
 def _peel_weight(rest, mass: int, picks: list, counts: list, sums, floors, ceilings) -> int:
     """Largest w keeping rest - w*x inside [0, mass - w] entrywise and every
     column sum inside (mass - w) times its floor/ceiling window, where x

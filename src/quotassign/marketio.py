@@ -36,6 +36,8 @@ def _load_document(text: str):
         raise MarketError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise MarketError("malformed JSON: nested too deeply") from None
 
 
 def _rational_field(value, field: str) -> Fraction:

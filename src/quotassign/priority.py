@@ -129,7 +129,7 @@ def run_rplq_exact(market: Market) -> RplqResult:
     if market.n > EXACT_ENUMERATION_LIMIT:
         raise ValueError(
             f"n={market.n} exceeds the exact-enumeration limit {EXACT_ENUMERATION_LIMIT};"
-            " use run_rplq_sampled instead"
+            " pass --samples on the command line, or call run_rplq_sampled"
         )
     lower, upper = _integer_quotas(market)
     n, prefs = market.n, market.prefs

@@ -29,15 +29,7 @@ def test_bench_tracer_counts_cli_calls_and_uninstalls(tmp_path, capsys, monkeypa
     assignment_path.write_text(serialize_assignment(PSLQ_FIVE))
     calls = [
         ["run", "pslq", "--trace", "--input", str(market_path), "--format", "json"],
-        [
-            "decompose",
-            "--input",
-            str(market_path),
-            "--assignment",
-            str(assignment_path),
-            "--format",
-            "json",
-        ],
+        ["decompose", "--input", str(market_path), "--assignment", str(assignment_path)],
     ]
     bindings = (
         (cli, "run_pslq"),

@@ -1,9 +1,10 @@
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
-from quotassign.cli import main
+from quotassign.cli import _build_parser, main
 from quotassign.decompose import decompose
 from quotassign.eating import run_pslq_traced
 from quotassign.marketio import (
@@ -40,7 +41,11 @@ def assignment_file(tmp_path, matrix, name="assignment.json"):
 
 
 def run_json(capsys, argv):
-    code = main(argv + ["--format", "json"])
+    """Run argv and parse its stdout; only run and impossibility take
+    --format, the other commands always print JSON."""
+    if argv[0] in ("run", "impossibility"):
+        argv = argv + ["--format", "json"]
+    code = main(argv)
     return code, json.loads(capsys.readouterr().out)
 
 
@@ -381,8 +386,10 @@ def test_gen_rejects_zero_students(capsys):
 
 
 def test_run_requires_input(capsys):
-    assert main(["run", "pslq"]) == 2
-    assert "--input is required" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "pslq"])
+    assert exc.value.code == 2
+    assert "required: --input" in capsys.readouterr().err
 
 
 def test_missing_market_file(tmp_path, capsys):
@@ -513,3 +520,125 @@ def test_check_calls_the_axiom_bound_in_the_cli_module(tmp_path, capsys, monkeyp
     )
     assert code == 0 and doc["all_hold"] is True
     assert seen == ["oe", "ef"]
+
+
+def _subparsers():
+    (action,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    market = market_lower_quotas()
+    return {
+        "market": market_file(tmp_path, market),
+        "assignment": assignment_file(tmp_path, run_priolq(market, (0, 1, 2, 3))),
+        "out": str(tmp_path / "out.txt"),
+    }
+
+
+#: per subcommand, argvs whose handlers together read every declared option
+READ_EVERY_OPTION = {
+    "run": [
+        ["run", "priolq", "--order", "4,3,2,1"],
+        ["run", "rplq", "--samples", "5", "--seed", "3", "--format", "csv"],
+        ["run", "pslq", "--trace", "--format", "json"],
+        ["run", "multiunit", "--q", "2", "--mechanism", "rplq"],
+    ],
+    "check": [["check", "--assignment", "{assignment}", "--axioms", "ml", "--master-list", "4,3,2,1"]],
+    "decompose": [["decompose", "--assignment", "{assignment}", "--verify"]],
+    "manipulate": [["manipulate", "--student", "2", "--mechanism", "rplq-exact"]],
+    "verify-wsp": [["verify-wsp", "--strong"]],
+    "impossibility": [["impossibility", "--format", "json"]],
+    "gen": [
+        ["gen", "--n", "3", "--k", "2", "--seed", "4", "--quota-style", "fractional",
+         "--denominator", "3", "--pref-style", "correlated", "--weights", "2,1"],
+    ],
+}
+
+
+def test_every_subcommand_is_exercised():
+    assert sorted(READ_EVERY_OPTION) == sorted(_subparsers())
+
+
+@pytest.mark.parametrize("command", sorted(READ_EVERY_OPTION))
+def test_every_option_is_read(command, cli_files, capsys):
+    declared = {a.dest for a in _subparsers()[command]._actions if a.dest != "help"}
+    reads = set()
+    for argv in READ_EVERY_OPTION[command]:
+        argv = [arg.format(**cli_files) for arg in argv] + ["--output", cli_files["out"]]
+        if "input" in declared:
+            argv += ["--input", cli_files["market"]]
+        args = _build_parser().parse_args(argv, namespace=_ReadLog(_reads=set()))
+        args._reads.clear()  # parsing reads defaults back; count the handler only
+        assert args.handler(args) in (0, 1)
+        reads |= args._reads
+    assert declared - reads == set()
+
+
+def _removed_option_cases():
+    base = {
+        "check": ["check", "--input", "{market}", "--assignment", "{assignment}"],
+        "decompose": ["decompose", "--input", "{market}", "--assignment", "{assignment}"],
+        "manipulate": ["manipulate", "--input", "{market}", "--student", "1"],
+        "verify-wsp": ["verify-wsp", "--input", "{market}"],
+        "impossibility": ["impossibility"],
+        "gen": ["gen", "--n", "3", "--k", "2"],
+    }
+    removed = {
+        "check": (["--format", "json"], ["--seed", "9"]),
+        "decompose": (["--format", "json"], ["--seed", "9"]),
+        "manipulate": (["--format", "json"], ["--seed", "9"]),
+        "verify-wsp": (["--format", "json"], ["--seed", "9"]),
+        "impossibility": (["--input", "{market}"], ["--seed", "9"], ["--format", "csv"]),
+        "gen": (["--input", "{market}"], ["--format", "json"]),
+    }
+    return [
+        pytest.param(base[command], extra, id=" ".join([command, *extra]))
+        for command, extras in removed.items()
+        for extra in extras
+    ]
+
+
+@pytest.mark.parametrize("base, extra", _removed_option_cases())
+def test_removed_option_exits_2(base, extra, cli_files, capsys):
+    base = [arg.format(**cli_files) for arg in base]
+    _build_parser().parse_args(base)
+    with pytest.raises(SystemExit) as exc:
+        main(base + [arg.format(**cli_files) for arg in extra])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def _deep_json_cases():
+    market = ["--input", "{deep}"]
+    return [
+        ["run", "pslq", *market],
+        ["run", "rplq", *market],
+        ["check", *market, "--assignment", "{assignment}"],
+        ["decompose", *market, "--assignment", "{assignment}"],
+        ["manipulate", *market, "--student", "1"],
+        ["verify-wsp", *market],
+        ["check", "--input", "{market}", "--assignment", "{deep}"],
+        ["decompose", "--input", "{market}", "--assignment", "{deep}"],
+    ]
+
+
+@pytest.mark.parametrize("argv", _deep_json_cases(), ids=" ".join)
+def test_deeply_nested_json_is_an_input_error(argv, cli_files, tmp_path, capsys):
+    # 2,000 nested arrays overrun the JSON decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 2000 + "]" * 2000)
+    assert main([arg.format(deep=deep, **cli_files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -152,12 +152,6 @@ _PER_FORMAT = [
     "run multiunit --q 2 --input {dir}/noq.json",
     "run multiunit --q 2 --mechanism rplq --input {dir}/lq.json",
     "run multiunit --q 2 --mechanism rplq --samples 30 --seed 5 --input {dir}/lq.json",
-    "check --input {dir}/five.json --assignment {dir}/a_pslq_five.json",
-    "decompose --verify --input {dir}/five.json --assignment {dir}/a_pslq_five.json",
-    "manipulate --student 1 --input {dir}/thirds.json",
-    "verify-wsp --input {dir}/thirds.json",
-    "impossibility",
-    "gen --n 4 --k 3 --seed 5",
 ]
 
 _ONCE = [
@@ -174,6 +168,7 @@ _ONCE = [
     "run pslq --input {dir}/five.json --output {dir}/out.txt",
     "run pslq --trace --input {dir}/five.json --format json --output {dir}/out.json",
     # check: every witness shape
+    "check --input {dir}/five.json --assignment {dir}/a_pslq_five.json",
     "check --axioms ef --input {dir}/lq.json --assignment {dir}/a_rplq_lq.json",
     "check --axioms ef,wef --input {dir}/lq.json --assignment {dir}/a_priolq_lq_1234.json",
     "check --axioms ml,pareto --input {dir}/lq.json --assignment {dir}/a_priolq_lq_1234.json",
@@ -218,12 +213,14 @@ _ONCE = [
     "check --input {dir}/lq.json --assignment {dir}/broken.json",
     "check --axioms karma --input {dir}/lq.json --assignment {dir}/a_stacked.json",
     # decompose
-    "decompose --input {dir}/lq.json --assignment {dir}/a_rplq_lq.json --format json",
+    "decompose --verify --input {dir}/five.json --assignment {dir}/a_pslq_five.json",
+    "decompose --input {dir}/lq.json --assignment {dir}/a_rplq_lq.json",
     "decompose --verify --input {dir}/g_tight.json --assignment {dir}/a_g_tight_pslq.json",
     "decompose --verify --input {dir}/g_frac.json --assignment {dir}/a_g_frac_pslq.json",
     "decompose --verify --input {dir}/six.json --assignment {dir}/a_rplq_six.json",
     "decompose --input {dir}/lq.json --assignment {dir}/a_stacked.json",
     # manipulate: strict, incomparable and no-change reports
+    "manipulate --student 1 --input {dir}/thirds.json",
     "manipulate --student 3 --input {dir}/lq.json",
     "manipulate --mechanism rplq-exact --student 1 --input {dir}/lq.json",
     "manipulate --student 1 --input {dir}/pinned.json",
@@ -235,6 +232,7 @@ _ONCE = [
     "manipulate --mechanism rplq-exact --student 1 --input {dir}/thirds.json",
     "manipulate --mechanism bogus --student 1 --input {dir}/thirds.json",
     # verify-wsp
+    "verify-wsp --input {dir}/thirds.json",
     "verify-wsp --input {dir}/lq.json",
     "verify-wsp --strong --input {dir}/lq.json",
     "verify-wsp --strong --input {dir}/five.json",
@@ -242,7 +240,11 @@ _ONCE = [
     "verify-wsp --mechanism rplq-exact --input {dir}/g_tight.json",
     "verify-wsp --mechanism rplq-exact --input {dir}/thirds.json",
     "verify-wsp --mechanism bogus --input {dir}/lq.json",
+    # impossibility
+    "impossibility --format table",
+    "impossibility --format json",
     # gen
+    "gen --n 4 --k 3 --seed 5",
     "gen --n 6 --k 4 --seed 1 --quota-style integer-tight",
     "gen --n 5 --k 3 --seed 2 --quota-style fractional --denominator 3",
     "gen --n 5 --k 3 --seed 2 --quota-style integer-loose",

@@ -15,7 +15,7 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quotassign.decompose import _Network, _extreme_point, decompose
+from quotassign.decompose import _Network, decompose
 from quotassign.eating import run_pslq
 from quotassign.marketio import GeneratorConfig, generate_market
 from quotassign.model import InternalError, Market
@@ -150,13 +150,14 @@ def flow_inputs(draw):
 
 def _flows_agree(support, floors, ceilings):
     holdings = [[p for p, v in enumerate(row) if v] for row in support]
+    network = _Network(holdings, len(floors))
     try:
         expected = extreme_point_by_bfs(support, floors, ceilings)
     except InternalError:
         with pytest.raises(InternalError, match="no integral point"):
-            _extreme_point(holdings, floors, ceilings)
+            network.extreme_point(floors, ceilings)
         return False
-    assert _extreme_point(holdings, floors, ceilings) == [row.index(1) for row in expected]
+    assert network.extreme_point(floors, ceilings) == [row.index(1) for row in expected]
     return True
 
 
