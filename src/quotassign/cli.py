@@ -3,7 +3,9 @@
 Subcommands: run {priolq|rplq|pslq|multiunit}, check, decompose, manipulate,
 verify-wsp, impossibility, gen. Students and priority orders are 1-based on
 the command line; exit codes are 0 (success, axioms hold), 1 (an axiom
-violation or strict manipulation was found), 2 (input error).
+violation or strict manipulation was found), 2 (input error, usage error
+included), 3 (internal error: an invariant that guards an output failed,
+which is a bug; one "internal error:" line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .marketio import (
     trace_to_json,
 )
 from .model import (
+    InternalError,
     MarketError,
     as_rational,
     feasibility_violations,
@@ -353,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--input", required=True, help="market JSON file, or '-' for stdin"
             )
         cmd.add_argument("--output", help="write the result here instead of stdout")
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=handler, parser=cmd)
         return cmd
 
     run = command("run", cmd_run, "run a mechanism")
@@ -433,12 +436,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        # the subcommand's usage line names the options it does take
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:  # MarketError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ column's count of each entry, numerators added per denominator, with
 from __future__ import annotations
 
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -61,11 +62,20 @@ def as_rational(value: RationalLike) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as "p/q", or plain "p" for integers.
 
-    Round-trips through :func:`as_rational` exactly.
+    Numbers of any size are written: `str` of an int refuses past
+    ``sys.get_int_max_str_digits()`` digits (4,300 by default), and then a
+    `Decimal` of the int, exact for any int, writes the same digits.
+    Round-trips through :func:`as_rational` exactly for numbers within that
+    limit, which parsing keeps.
     """
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        if q.denominator == 1:
+            return str(Decimal(q.numerator))
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 class Market:

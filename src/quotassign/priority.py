@@ -7,17 +7,25 @@ quota-deficient projects so that every lower quota can still be met.
 
 `run_rplq_exact` averages that mechanism over all n! priority orders with
 exact rational weights, by a dynamic program over the states the orders
-pass through rather than by running every order; `run_rplq_sampled` is the
-seeded Monte Carlo estimator for larger markets. All three share one
-integer PrioLQ step, `_pick`. `clone_market` extends any mechanism to
-multi-unit demand by cloning students.
+pass through rather than by running every order. The pass records each
+student's arrival table: per menu, the number of orders in which the
+student's turn comes with that menu. A student's row is their ranking's
+first hit in each menu of the table. No choice of the student's own shapes
+the table, so the same table gives the row of any ranking they might
+report, which is how the strategy lab scans misreports without rerunning.
+`run_rplq_sampled` is the seeded Monte Carlo estimator for larger markets.
+
+The per-order runs share one integer PrioLQ step, `_pick`; the dynamic
+program takes the whole menu at a state, `_menu`, by the same rule.
+`clone_market` extends any mechanism to multi-unit demand by cloning
+students.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
@@ -35,13 +43,17 @@ class RplqResult:
 
     `assignment` is the averaged n x k matrix. `mode` is "exact" when it
     averages all n! orders, "monte-carlo" when estimated from `samples`
-    seeded draws.
+    seeded draws. An exact result also carries `arrivals`: per student, a
+    dict from menu (a bitmask of projects) to the number of orders in which
+    the student's turn comes with that menu (see run_rplq_exact). It takes
+    no part in comparisons.
     """
 
     assignment: Matrix
     mode: str
     samples: Optional[int] = None
     seed: Optional[int] = None
+    arrivals: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def _integer_quotas(market: Market) -> tuple:
@@ -112,15 +124,69 @@ def run_priolq(market: Market, order: Sequence[int]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
+def _menu(counts, lower, upper, unfilled: int, remaining: int) -> int:
+    """The PrioLQ menu at a state, as a bitmask of projects.
+
+    The same rule as `_pick`, over every project instead of down one
+    ranking: a student's pick at the state is the first project of their
+    ranking in the menu, whatever the ranking.
+    """
+    if unfilled > remaining:
+        raise InternalError(
+            f"partial assignment infeasible: {unfilled} lower-quota seats"
+            f" left for {remaining} students"
+        )
+    caps = upper if unfilled < remaining else lower
+    menu = 0
+    for p, (count, cap) in enumerate(zip(counts, caps)):
+        if count < cap:
+            menu |= 1 << p
+    if not menu:
+        raise InternalError("empty PrioLQ menu")
+    return menu
+
+
+def _first_hit(ranking, menu: int) -> int:
+    """The first project of `ranking` in the bitmask `menu`."""
+    for p in ranking:
+        if menu >> p & 1:
+            return p
+    raise InternalError("the ranking misses every project of the menu")
+
+
+def arrival_totals(arrived: dict, ranking, k: int) -> list:
+    """Per project, the number of orders in which a student takes it when
+    reporting `ranking`.
+
+    `arrived` is the student's arrival table, as in `RplqResult.arrivals`:
+    a dict from menu (a bitmask of projects) to the number of orders in
+    which the student's turn comes with that menu. Each menu's orders go to
+    the ranking's first project in it.
+    """
+    totals = [0] * k
+    for menu, orders in arrived.items():
+        totals[_first_hit(ranking, menu)] += orders
+    return totals
+
+
 def run_rplq_exact(market: Market) -> RplqResult:
     """Average run_priolq over all n! priority orders, exactly.
 
     A forward dynamic program over the states the orders pass through: a
     state is the set of students placed so far together with the seats
     filled per project, and it carries the number of orders of those
-    students that reach it. From each state every unplaced student takes
-    their PrioLQ pick, which the state alone decides; that pick is theirs
-    in every completion of those orders, (students left - 1)! of them.
+    students that reach it. At each state every unplaced student faces the
+    same menu, which the state alone decides; the state's orders times the
+    (students left - 1)! completions are the orders in which that student's
+    turn comes there. The pass records these per student and menu, the
+    arrival table returned as `arrivals`, and each student's row is their
+    ranking's first hit in each menu of their table.
+
+    The table holds no choice of the student's own: the states at which a
+    student's turn comes are set by the students placed before them. So the
+    row a misreport would bring is the misreported ranking's first hits in
+    the same table, with no new market and no new pass (the strategy lab
+    reads it that way).
 
     Every entry of the result is a Fraction with denominator dividing n!,
     equal to the plain average over the n! orders. Markets with n >
@@ -132,26 +198,32 @@ def run_rplq_exact(market: Market) -> RplqResult:
             " pass --samples on the command line, or call run_rplq_sampled"
         )
     lower, upper = _integer_quotas(market)
-    n, prefs = market.n, market.prefs
-    totals = [[0] * market.k for _ in range(n)]
-    layer = {(0, (0,) * market.k): 1}
+    n, k, prefs = market.n, market.k, market.prefs
+    arrivals = tuple({} for _ in range(n))
+    layer = {(0, (0,) * k): 1}
     for placed in range(n):
         remaining = n - placed
         completions = math.factorial(remaining - 1)
         following = {}
         for (mask, counts), ways in layer.items():
             unfilled = sum(max(lo - c, 0) for lo, c in zip(lower, counts))
+            menu = _menu(counts, lower, upper, unfilled, remaining)
+            orders = ways * completions
             for i in range(n):
                 if mask >> i & 1:
                     continue
-                p = _pick(prefs[i], counts, lower, upper, unfilled, remaining)
-                totals[i][p] += ways * completions
+                arrived = arrivals[i]
+                arrived[menu] = arrived.get(menu, 0) + orders
+                p = _first_hit(prefs[i], menu)
                 state = (mask | 1 << i, counts[:p] + (counts[p] + 1,) + counts[p + 1 :])
                 following[state] = following.get(state, 0) + ways
         layer = following
-    weight = Fraction(1, math.factorial(n))
-    assignment = tuple(tuple(weight * t for t in row) for row in totals)
-    return RplqResult(assignment=assignment, mode="exact")
+    total = math.factorial(n)
+    assignment = tuple(
+        tuple(Fraction(t, total) for t in arrival_totals(arrived, ranking, k))
+        for arrived, ranking in zip(arrivals, prefs)
+    )
+    return RplqResult(assignment=assignment, mode="exact", arrivals=arrivals)
 
 
 def run_rplq_sampled(market: Market, samples: int, seed: int) -> RplqResult:

@@ -3,7 +3,10 @@
 A mechanism here is any callable Market -> assignment matrix (or one of the
 names in MECHANISMS). Misreports are full strict orderings: the model has
 no truncation or outside option, so a student's deviation space is the
-k! - 1 other rankings.
+k! - 1 other rankings. `search_manipulation` and `verify_weak_sp` run a
+callable once per misreported market, but the name "rplq-exact" once in
+all: the exact RPLQ pass records each student's arrival table, from which
+any ranking's row is read (see quotassign.priority).
 
 Also houses the built-in impossibility scenario: a two-student market with
 fractional quotas on which no mechanism can be ordinally efficient,
@@ -13,14 +16,16 @@ argument computationally on an exact rational grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import is_envy_free, is_ordinally_efficient, sd_dominates
 from .eating import run_pslq
 from .model import InternalError, Market, Matrix, Row, format_rational
-from .priority import run_rplq_exact
+from .priority import arrival_totals, run_rplq_exact
 
 STRICT_GAIN = "strict-sd-gain"
 INCOMPARABLE_CHANGE = "incomparable-change"
@@ -71,14 +76,32 @@ def _misreported_market(market: Market, student: int, ranking) -> Market:
     )
 
 
-def misreport_outcomes(mechanism, market: Market, student: int):
-    """Yield (ranking, row of `student`) for every alternative ordering."""
-    mechanism = _resolve(mechanism)
+def _check_project_limit(market: Market) -> None:
     if market.k > MISREPORT_PROJECT_LIMIT:
         raise ValueError(
             "misreport search enumerates all orderings and needs at most"
             f" {MISREPORT_PROJECT_LIMIT} projects, got {market.k}"
         )
+
+
+def _rplq_misreports(result, market: Market, student: int):
+    """Yield (ranking, row of `student`) for every alternative ordering, in
+    lexicographic order, read off the arrival table of the exact RPLQ
+    `result` on `market`: the stream misreport_outcomes would yield, with
+    no new market and no new run."""
+    arrived, truthful, k = result.arrivals[student], market.prefs[student], market.k
+    total = math.factorial(market.n)
+    for ranking in itertools.permutations(range(k)):
+        if ranking == truthful:
+            continue
+        yield ranking, tuple(Fraction(t, total) for t in arrival_totals(arrived, ranking, k))
+
+
+def misreport_outcomes(mechanism, market: Market, student: int):
+    """Yield (ranking, row of `student`) for every alternative ordering, in
+    lexicographic order, running the mechanism on each misreported market."""
+    mechanism = _resolve(mechanism)
+    _check_project_limit(market)
     truthful = market.prefs[student]
     for ranking in itertools.permutations(range(market.k)):
         if ranking == truthful:
@@ -87,11 +110,23 @@ def misreport_outcomes(mechanism, market: Market, student: int):
         yield ranking, outcome[student]
 
 
+def _runs(mechanism, market: Market) -> tuple:
+    """The truthful outcome, and a function from a student to the stream of
+    their misreport outcomes. The name "rplq-exact" gets the one-run
+    scanner; any other mechanism is resolved and rerun per misreport."""
+    if mechanism == "rplq-exact":
+        result = run_rplq_exact(market)
+        _check_project_limit(market)
+        return result.assignment, functools.partial(_rplq_misreports, result, market)
+    mechanism = _resolve(mechanism)
+    return mechanism(market), functools.partial(misreport_outcomes, mechanism, market)
+
+
 def _scan(
-    mechanism, market: Market, truthful: Matrix, student: int, strong: bool
+    misreports, market: Market, truthful: Matrix, student: int, strong: bool
 ) -> ManipulationReport:
     """One pass over the misreports of `student`, given the truthful
-    outcome of the market.
+    outcome of the market and the stream of (ranking, row) pairs.
 
     Returns the first strict sd-gain at once. Otherwise reports the first
     misreport row that counts as a change: with strong=False any row that
@@ -101,7 +136,7 @@ def _scan(
     truthful_row = truthful[student]
     ranking = market.prefs[student]
     first_change = None
-    for misreport, row in misreport_outcomes(mechanism, market, student):
+    for misreport, row in misreports:
         if sd_dominates(row, truthful_row, ranking, strict=True):
             return ManipulationReport(student, truthful_row, misreport, row, STRICT_GAIN)
         if first_change is None and (
@@ -120,10 +155,11 @@ def search_manipulation(mechanism, market: Market, student: int) -> Manipulation
 
     Reports the first strict sd-gain found (in lexicographic ranking
     order), else the first misreport that changes the student's row, else
-    relation "none".
+    relation "none". Under "rplq-exact" the one truthful run gives every
+    misreport's row.
     """
-    mechanism = _resolve(mechanism)
-    return _scan(mechanism, market, mechanism(market), student, strong=False)
+    truthful, misreports = _runs(mechanism, market)
+    return _scan(misreports(student), market, truthful, student, strong=False)
 
 
 def verify_weak_sp(mechanism, market: Market, strong: bool = False):
@@ -134,12 +170,11 @@ def verify_weak_sp(mechanism, market: Market, strong: bool = False):
     sd-dominates every misreport row, the standard given for the priority
     mechanisms; a failure then reports the first misreport row it does not
     dominate. The truthful market and each student's misreports are run
-    once either way.
+    once either way; under "rplq-exact" the truthful run is the only one.
     """
-    mechanism = _resolve(mechanism)
-    truthful = mechanism(market)
+    truthful, misreports = _runs(mechanism, market)
     for student in range(market.n):
-        report = _scan(mechanism, market, truthful, student, strong)
+        report = _scan(misreports(student), market, truthful, student, strong)
         if report.relation == STRICT_GAIN or (strong and report.relation == INCOMPARABLE_CHANGE):
             return False, report
     return True, None

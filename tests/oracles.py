@@ -17,6 +17,11 @@ floor arc for each direct path. `extreme_point_by_rebuild` is the flow
 that followed it: a fresh network per peel, with the direct paths to the
 sink taken from a heap.
 
+`rplq_by_bitmask_dp` is the earlier exact-RPLQ dynamic program, verbatim:
+it adds each pick straight into the student's totals and keeps no arrival
+table. It shares the package's integer PrioLQ step `_pick`, which the
+per-order runs still use and `priolq_from_definition` checks.
+
 `pslq_by_full_matrix` is the earlier full-matrix eating loop on the earlier
 phase-event rule: the active set as a two-clause union
 (`active_set_by_clauses`), the critical time by re-summing the reserve's
@@ -37,6 +42,7 @@ from typing import Optional, Sequence
 
 from quotassign.eating import CRITICAL_SHIFT, EPOCH_END, EXHAUSTION, EatingPhase, EatingTrace
 from quotassign.model import InternalError, Market, as_rational, format_rational
+from quotassign.priority import EXACT_ENUMERATION_LIMIT, RplqResult, _integer_quotas, _pick
 
 
 def choice(prefs, student: int, menu) -> int:
@@ -182,6 +188,48 @@ def rplq_by_enumeration(market: Market):
                 totals[i][p] += outcome[i][p]
     weight = Fraction(1, math.factorial(n))
     return tuple(tuple(weight * t for t in row) for row in totals)
+
+
+def rplq_by_bitmask_dp(market: Market):
+    """Average run_priolq over all n! priority orders, exactly.
+
+    A forward dynamic program over the states the orders pass through: a
+    state is the set of students placed so far together with the seats
+    filled per project, and it carries the number of orders of those
+    students that reach it. From each state every unplaced student takes
+    their PrioLQ pick, which the state alone decides; that pick is theirs
+    in every completion of those orders, (students left - 1)! of them.
+
+    Every entry of the result is a Fraction with denominator dividing n!,
+    equal to the plain average over the n! orders. Markets with n >
+    EXACT_ENUMERATION_LIMIT are rejected; use run_rplq_sampled for those.
+    """
+    if market.n > EXACT_ENUMERATION_LIMIT:
+        raise ValueError(
+            f"n={market.n} exceeds the exact-enumeration limit {EXACT_ENUMERATION_LIMIT};"
+            " pass --samples on the command line, or call run_rplq_sampled"
+        )
+    lower, upper = _integer_quotas(market)
+    n, prefs = market.n, market.prefs
+    totals = [[0] * market.k for _ in range(n)]
+    layer = {(0, (0,) * market.k): 1}
+    for placed in range(n):
+        remaining = n - placed
+        completions = math.factorial(remaining - 1)
+        following = {}
+        for (mask, counts), ways in layer.items():
+            unfilled = sum(max(lo - c, 0) for lo, c in zip(lower, counts))
+            for i in range(n):
+                if mask >> i & 1:
+                    continue
+                p = _pick(prefs[i], counts, lower, upper, unfilled, remaining)
+                totals[i][p] += ways * completions
+                state = (mask | 1 << i, counts[:p] + (counts[p] + 1,) + counts[p + 1 :])
+                following[state] = following.get(state, 0) + ways
+        layer = following
+    weight = Fraction(1, math.factorial(n))
+    assignment = tuple(tuple(weight * t for t in row) for row in totals)
+    return RplqResult(assignment=assignment, mode="exact")
 
 
 def pareto_by_enumeration(mu, market: Market):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from quotassign import cli
 from quotassign.cli import _build_parser, main
 from quotassign.decompose import decompose
 from quotassign.eating import run_pslq_traced
@@ -14,7 +15,7 @@ from quotassign.marketio import (
     serialize_market,
     trace_to_json,
 )
-from quotassign.model import Market, as_rational
+from quotassign.model import InternalError, Market, as_rational
 from quotassign.priority import run_priolq, run_rplq_sampled
 
 from goldens import (
@@ -616,7 +617,10 @@ def test_removed_option_exits_2(base, extra, cli_files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(base + [arg.format(**cli_files) for arg in extra])
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the subcommand reports it, with a usage line of its own options
+    assert captured.err.startswith(f"usage: quotassign {base[0]} ")
 
 
 def _deep_json_cases():
@@ -642,3 +646,14 @@ def test_deeply_nested_json_is_an_input_error(argv, cli_files, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_internal_error_exits_3_without_a_traceback(cli_files, monkeypatch, capsys):
+    def broken(market):
+        raise InternalError("empty PrioLQ menu")
+
+    monkeypatch.setattr(cli, "run_pslq", broken)
+    assert main(["run", "pslq", "--input", cli_files["market"]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: empty PrioLQ menu\n"

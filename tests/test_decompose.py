@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -7,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from quotassign import cli
 from quotassign.decompose import Lottery, decompose
 from quotassign.eating import run_pslq
+from quotassign.marketio import serialize_assignment, serialize_market
 from quotassign.model import (
     InternalError,
     Market,
@@ -250,6 +253,20 @@ def test_hostile_denominators_decompose_quickly():
     assert time.perf_counter() - start < 2
     assert len(lottery) == 201
     assert lottery.expectation() == R
+
+
+def test_cli_writes_weights_past_the_int_string_limit(tmp_path, capsys, time_bound):
+    # the weights run to some 9,600 digits, past the 4,300 that str(int)
+    # writes by default; the reader's json.loads does not parse them as ints
+    market, R = hostile_input(200, 50)
+    (tmp_path / "m.json").write_text(serialize_market(market))
+    (tmp_path / "a.json").write_text(serialize_assignment(R))
+    argv = ["decompose", "--input", str(tmp_path / "m.json"),
+            "--assignment", str(tmp_path / "a.json"), "--verify"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is True
+    assert max(len(term["weight"]) for term in doc["terms"]) > 4300
 
 
 def test_hostile_denominator_terms_equal_the_fraction_loop():

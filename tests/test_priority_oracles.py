@@ -1,17 +1,22 @@
 """The integer PrioLQ step and the exact-RPLQ dynamic program against
-oracles written from the definitions in Fractions (tests/oracles.py)."""
+oracles written from the definitions in Fractions (tests/oracles.py), and
+the exact-RPLQ misreport scan, read off one run's arrival tables, against
+a rerun of the earlier dynamic program on every misreported market."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from quotassign import strategy
 from quotassign.model import Market, is_feasible
 from quotassign.priority import run_priolq, run_rplq_exact, run_rplq_sampled
+from quotassign.strategy import misreport_outcomes, search_manipulation, verify_weak_sp
 
 from goldens import market_lower_quotas, market_six
-from oracles import priolq_from_definition, rplq_by_enumeration
+from oracles import priolq_from_definition, rplq_by_bitmask_dp, rplq_by_enumeration
 
 QUOTA_STYLES = ("tight", "loose", "zero-lower", "uncapped")
 
@@ -91,3 +96,63 @@ def test_sampled_rplq_averages_the_seeded_orders(market, seed):
                 expected[i][p] += Fraction(outcome[i][p], samples)
     result = run_rplq_sampled(market, samples=samples, seed=seed).assignment
     assert result == tuple(tuple(row) for row in expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(market=priority_markets(max_n=7))
+def test_exact_rplq_equals_bitmask_dp_oracle(market):
+    assert run_rplq_exact(market).assignment == rplq_by_bitmask_dp(market).assignment
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), market=priority_markets())
+def test_misreport_scan_equals_rerun_of_the_oracle(data, market):
+    student = data.draw(st.integers(0, market.n - 1))
+    truthful = market.prefs[student]
+    expected = [
+        (
+            ranking,
+            rplq_by_bitmask_dp(strategy._misreported_market(market, student, ranking))
+            .assignment[student],
+        )
+        for ranking in itertools.permutations(range(market.k))
+        if ranking != truthful
+    ]
+    truthful_outcome, misreports = strategy._runs("rplq-exact", market)
+    assert truthful_outcome == run_rplq_exact(market).assignment
+    assert list(misreports(student)) == expected
+    # the rerun path, which a callable or misreport_outcomes takes
+    assert list(misreport_outcomes("rplq-exact", market, student)) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), market=priority_markets(max_n=5))
+def test_scan_by_name_equals_the_rerun_path(data, market):
+    # a callable is rerun on each misreported market; the name reads the
+    # rows off one run's arrival tables
+    def rerun(m):
+        return run_rplq_exact(m).assignment
+
+    student = data.draw(st.integers(0, market.n - 1))
+    assert search_manipulation("rplq-exact", market, student) == search_manipulation(
+        rerun, market, student
+    )
+    for strong in (False, True):
+        assert verify_weak_sp("rplq-exact", market, strong=strong) == verify_weak_sp(
+            rerun, market, strong=strong
+        )
+
+
+def test_scan_by_name_runs_exact_rplq_once_and_builds_no_market(monkeypatch):
+    market = market_six()
+    runs, built = [], []
+    monkeypatch.setattr(
+        strategy, "run_rplq_exact", lambda m: runs.append(m) or run_rplq_exact(m)
+    )
+    monkeypatch.setattr(
+        strategy,
+        "_misreported_market",
+        lambda *args: built.append(args) or Market(["a"], [0], [None], [["a"]]),
+    )
+    assert verify_weak_sp("rplq-exact", market, strong=True) == (True, None)
+    assert runs == [market] and built == []

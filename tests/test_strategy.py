@@ -111,8 +111,11 @@ def test_mechanism_resolution():
 def test_misreport_project_guard():
     names = [f"p{j}" for j in range(8)]
     m = Market(names, [0] * 8, [None] * 8, [names])
-    with pytest.raises(ValueError, match="at most 7"):
-        search_manipulation("pslq", m, 0)
+    for mechanism in ("pslq", "rplq-exact"):
+        with pytest.raises(ValueError, match="at most 7"):
+            search_manipulation(mechanism, m, 0)
+        with pytest.raises(ValueError, match="at most 7"):
+            verify_weak_sp(mechanism, m)
 
 
 def test_pair_coalitions_cannot_jointly_game_priority(rng):
